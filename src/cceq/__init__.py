@@ -11,13 +11,11 @@ from .game import (
     BudgetExceededError,
     FiniteGame,
     JointDistribution,
-    conditional_expected_deviation,
-    deviation_cost,
     flat_index,
+    incentive_gains,
     load_game,
     save_game,
     unflatten,
-    unnormalized_expected_deviation,
 )
 from .uncertainty import (
     PerturbationDist,
@@ -28,7 +26,6 @@ from .uncertainty import (
 from .lp import LinearProgram, LpSolution, LpStatus, SolverFailureError, solve
 from .equilibrium import (
     CcPneSet,
-    DeviationConstraintId,
     EquilibriumResult,
     RrSolution,
     assemble_ce_constraints,

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import lp as lpmod
 from .game import (
+    MASS_TOL,
     BudgetExceededError,
     FiniteGame,
     JointDistribution,
     flat_index,
+    incentive_gains,
     unflatten,
 )
 from .lp import LinearProgram, LpStatus, SolverFailureError
@@ -33,16 +34,13 @@ from .uncertainty import UncertaintyModel
 
 __all__ = [
     "CcPneSet",
-    "DeviationConstraintId",
     "EquilibriumResult",
     "FEASIBILITY_TOL",
     "JOINT_SPACE_CAP",
     "RrSolution",
     "assemble_ce_constraints",
-    "build_tightening",
     "ccce_program",
     "check_ccce_feasibility",
-    "deviation_ids",
     "enumerate_cc_pne",
     "is_cc_pne",
     "sample_recommendation",
@@ -50,21 +48,12 @@ __all__ = [
     "solve_nominal_ce",
     "solve_reduced_rank",
     "solve_reduced_rank_lp",
-    "zero_tightening",
 ]
 
 # Constraint replay tolerance, consistent with the LP module contract.
 FEASIBILITY_TOL = 1e-7
 # Hard cap on enumerable joint action spaces.
 JOINT_SPACE_CAP = 2 ** 24
-
-
-class DeviationConstraintId(NamedTuple):
-    """One incentive constraint: agent i recommended `recommended`, tempted by `alternative`."""
-
-    agent: int
-    recommended: int
-    alternative: int
 
 
 @dataclass(frozen=True)
@@ -97,87 +86,61 @@ class RrSolution:
     objective: float | None = None
 
 
-def _validate_alpha(alpha: float) -> float:
+def _quantiles(game: FiniteGame, unc: UncertaintyModel, alpha: float) -> np.ndarray:
+    """Per-agent tightenings: each agent's perturbation alpha-quantile."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"confidence level must lie strictly in (0, 1), got {alpha!r}")
-    return alpha
-
-
-def _validate_model(game: FiniteGame, unc: UncertaintyModel) -> None:
     if unc.num_agents != game.num_agents:
         raise ValueError(
             f"uncertainty model covers {unc.num_agents} agents, game has {game.num_agents}"
         )
+    return unc.quantiles(alpha)
 
 
-def deviation_ids(game: FiniteGame) -> list[DeviationConstraintId]:
-    """All constraint ids in canonical order (agent, recommended, alternative)."""
-    ids = []
-    for i, m in enumerate(game.action_counts):
-        for rec in range(m):
-            for alt in range(m):
-                if alt != rec:
-                    ids.append(DeviationConstraintId(i, rec, alt))
-    return ids
-
-
-def build_tightening(game: FiniteGame, unc: UncertaintyModel, alpha: float):
-    """Tightening map c -> alpha-quantile of agent i(c)'s perturbation."""
-    alpha = _validate_alpha(alpha)
-    _validate_model(game, unc)
-    quantiles = unc.quantiles(alpha)
-    return {cid: float(quantiles[cid.agent]) for cid in deviation_ids(game)}
-
-
-def zero_tightening(game: FiniteGame):
-    """Tightening map for the nominal CE program (all zeros)."""
-    return {cid: 0.0 for cid in deviation_ids(game)}
-
-
-def assemble_ce_constraints(game: FiniteGame, tightening):
+def assemble_ce_constraints(game: FiniteGame, quantiles) -> np.ndarray:
     """Incentive rows of the (tightened) CE program.
 
-    Returns ``(rows, ids)`` where ``rows @ z <= 0`` encodes, for each
-    constraint c = (i, rec, alt), the unnormalized form
+    Returns ``rows`` such that ``rows @ z <= 0`` encodes, for each agent i,
+    recommendation rec and alternative alt != rec, the unnormalized form
 
-        sum_{x_others} z(rec, x_others) * (dJ(rec, alt, x_others) + t_c) <= 0,
+        sum_{x_others} z(rec, x_others) * (J_i(rec, .) - J_i(alt, .) + q_i) <= 0,
 
-    which is the deterministic equivalent of the conditional constraint
-    whenever the recommendation's marginal is positive, and vacuous (0 <= 0)
-    when it is zero. Row count is sum_i m_i * (m_i - 1). The caller adds the
-    probability-simplex rows.
+    i.e. ``incentive_gains(game, z, i)[0][rec, alt] + q_i * marginal(rec) <= 0``:
+    the deterministic equivalent of the conditional constraint whenever the
+    recommendation's marginal is positive, and vacuous (0 <= 0) when it is
+    zero. ``quantiles`` holds one tightening q_i per agent (zeros for the
+    nominal program). Rows are ordered by agent, then rec, then alt, and
+    number sum_i m_i * (m_i - 1). The caller adds the probability-simplex rows.
     """
-    ids = deviation_ids(game)
-    rows = np.zeros((len(ids), game.num_joint))
-    k = 0
-    for i, m in enumerate(game.action_counts):
+    q = np.asarray(quantiles, dtype=float)
+    if q.shape != (game.num_agents,):
+        raise ValueError(f"need one tightening per agent, got shape {q.shape}")
+    counts = game.action_counts
+    rows = np.zeros((sum(m * (m - 1) for m in counts), game.num_joint))
+    start = 0
+    for i, m in enumerate(counts):
+        stop = start + m * (m - 1)
+        # block[rec, j] is the row for (rec, alts[rec, j]) on the joint grid,
+        # agent i's axis moved to position 2; a view into rows
+        block = np.moveaxis(rows[start:stop].reshape(m, m - 1, *counts), 2 + i, 2)
+        recs = np.arange(m)
+        slots = np.arange(m - 1)
+        alts = slots + (slots >= recs[:, None])
         cost = np.moveaxis(game.cost_grid(i), i, 0)
-        tail_shape = cost.shape[1:]
-        for rec in range(m):
-            for alt in range(m):
-                if alt == rec:
-                    continue
-                cid = DeviationConstraintId(i, rec, alt)
-                try:
-                    t = float(tightening[cid])
-                except KeyError:
-                    raise ValueError(f"tightening is missing an entry for {cid}") from None
-                grid = np.zeros((m, *tail_shape))
-                grid[rec] = cost[rec] - cost[alt] + t
-                rows[k] = np.moveaxis(grid, 0, i).reshape(-1)
-                k += 1
-    return rows, ids
+        block[recs, :, recs] = cost[:, None] - cost[alts] + q[i]
+        start = stop
+    return rows
 
 
-def ccce_program(game: FiniteGame, tightening, sys_cost) -> LinearProgram:
+def ccce_program(game: FiniteGame, quantiles, sys_cost) -> LinearProgram:
     """The selection LP: minimize expected system cost over the tightened CE polytope."""
     objective = np.ascontiguousarray(sys_cost, dtype=float)
     if objective.shape != (game.num_joint,):
         raise ValueError("sys_cost must assign one finite value per joint action")
     if not np.all(np.isfinite(objective)):
         raise ValueError("sys_cost must be finite everywhere")
-    rows, _ = assemble_ce_constraints(game, tightening)
+    rows = assemble_ce_constraints(game, quantiles)
     return LinearProgram(
         objective=objective,
         ineq_matrix=rows,
@@ -188,33 +151,61 @@ def ccce_program(game: FiniteGame, tightening, sys_cost) -> LinearProgram:
     )
 
 
-def _solve_selection(game: FiniteGame, tightening, sys_cost) -> EquilibriumResult:
-    solution = lpmod.solve(ccce_program(game, tightening, sys_cost))
+def _solve_selection(game: FiniteGame, quantiles, sys_cost,
+                     deadline: float | None = None) -> EquilibriumResult:
+    solution = lpmod.solve(ccce_program(game, quantiles, sys_cost), deadline=deadline)
     if solution.status == LpStatus.INFEASIBLE:
         return EquilibriumResult(LpStatus.INFEASIBLE)
     if solution.status != LpStatus.OPTIMAL:  # bounded feasible set; defensive
         raise SolverFailureError("selection LP reported unbounded")
-    mass = np.maximum(solution.values, 0.0)
+    # the simplex's tie-breaking rhs perturbation can leave "ghost" masses
+    # on joint actions whose incentive constraints fail; kept, their tiny
+    # marginals would blow the normalized margins up
+    mass = np.where(solution.values < MASS_TOL, 0.0, solution.values)
     mass /= mass.sum()
     dist = JointDistribution(mass, game.action_counts)
+    worst = _worst_margin(game, dist, quantiles)
+    if not worst <= FEASIBILITY_TOL:
+        raise SolverFailureError(
+            f"selection LP result fails the CC-CE check: worst margin {worst:.6g}"
+        )
     return EquilibriumResult(LpStatus.OPTIMAL, dist, float(solution.objective_value))
 
 
 def solve_nominal_ce(game: FiniteGame, sys_cost) -> EquilibriumResult:
     """Minimize expected system cost over the nominal CE polytope."""
-    return _solve_selection(game, zero_tightening(game), sys_cost)
+    return _solve_selection(game, np.zeros(game.num_agents), sys_cost)
 
 
 def solve_full_ccce(
-    game: FiniteGame, unc: UncertaintyModel, alpha: float, sys_cost
+    game: FiniteGame, unc: UncertaintyModel, alpha: float, sys_cost,
+    deadline: float | None = None,
 ) -> EquilibriumResult:
     """Minimize expected system cost over the chance-constrained CE polytope.
 
     Every incentive row is tightened by the alpha-quantile of the acting
-    agent's perturbation. Infeasibility of the tightened polytope is reported
-    through the result status; LP solver failures propagate.
+    agent's perturbation. The returned distribution carries no mass below
+    ``MASS_TOL`` and has passed :func:`check_ccce_feasibility`; one that
+    fails it raises :class:`SolverFailureError`, as do other LP solver
+    failures. Infeasibility of the tightened polytope is reported through
+    the result status. ``deadline``, a ``time.perf_counter()`` value, makes
+    the solve raise ``TimeoutError`` once it has passed.
     """
-    return _solve_selection(game, build_tightening(game, unc, alpha), sys_cost)
+    return _solve_selection(game, _quantiles(game, unc, alpha), sys_cost, deadline)
+
+
+def _worst_margin(game: FiniteGame, z: JointDistribution, quantiles) -> float:
+    """Largest normalized tightened incentive margin over the constraints with
+    positive recommendation marginal; -inf when there are none."""
+    worst = -math.inf
+    for i in range(game.num_agents):
+        gains, marginals = incentive_gains(game, z, i)
+        positive = marginals > 0.0
+        margins = gains / np.where(positive, marginals, 1.0)[:, None] + quantiles[i]
+        margins[~positive, :] = -math.inf
+        np.fill_diagonal(margins, -math.inf)
+        worst = max(worst, float(margins.max()))
+    return worst
 
 
 def check_ccce_feasibility(
@@ -228,32 +219,11 @@ def check_ccce_feasibility(
 
     Returns ``(feasible, worst)`` where ``worst`` is the maximum over
     constraints with positive recommendation marginal of the normalized
-    left-hand side (conditional expected deviation plus tightening);
+    left-hand side (conditional expected deviation gain plus tightening);
     ``feasible`` means ``worst <= tol``. Zero-marginal constraints are
     vacuous and excluded from the maximum.
     """
-    alpha = _validate_alpha(alpha)
-    _validate_model(game, unc)
-    if z.action_counts != game.action_counts:
-        raise ValueError("distribution does not match the game's action space")
-    worst = -math.inf
-    for i, m in enumerate(game.action_counts):
-        if m == 1:
-            continue
-        zmat = np.moveaxis(z.grid, i, 0).reshape(m, -1)
-        jmat = np.moveaxis(game.cost_grid(i), i, 0).reshape(m, -1)
-        marginals = zmat.sum(axis=1)
-        positive = marginals > 0.0
-        if not positive.any():
-            continue
-        # pairwise[rec, alt] = sum_k z(rec, k) * J(alt, k)
-        pairwise = zmat @ jmat.T
-        own = np.diag(pairwise)
-        safe = np.where(positive, marginals, 1.0)
-        margins = (own[:, None] - pairwise) / safe[:, None] + unc.quantile(i, alpha)
-        margins[~positive, :] = -math.inf
-        np.fill_diagonal(margins, -math.inf)
-        worst = max(worst, float(margins.max()))
+    worst = _worst_margin(game, z, _quantiles(game, unc, alpha))
     return worst <= tol, worst
 
 
@@ -264,8 +234,7 @@ def is_cc_pne(game: FiniteGame, profile, unc: UncertaintyModel, alpha: float) ->
     the nominal deviation margin plus the agent's alpha-quantile must be
     nonpositive. Costs sum_i (m_i - 1) comparisons.
     """
-    alpha = _validate_alpha(alpha)
-    _validate_model(game, unc)
+    q = _quantiles(game, unc, alpha)
     coords = tuple(int(c) for c in profile)
     flat_index(coords, game.action_counts)  # validates ranges
     for i, m in enumerate(game.action_counts):
@@ -276,7 +245,7 @@ def is_cc_pne(game: FiniteGame, profile, unc: UncertaintyModel, alpha: float) ->
         line = game.cost_grid(i)[tuple(selector)]
         own = line[coords[i]]
         others = np.delete(line, coords[i])
-        if own + unc.quantile(i, alpha) > others.min():
+        if own + q[i] > others.min():
             return False
     return True
 
@@ -294,8 +263,7 @@ def enumerate_cc_pne(
     in enumeration order; a joint space larger than ``joint_space_cap``
     raises :class:`BudgetExceededError`.
     """
-    alpha = _validate_alpha(alpha)
-    _validate_model(game, unc)
+    q = _quantiles(game, unc, alpha)
     if game.num_joint > joint_space_cap:
         raise BudgetExceededError(
             f"joint space of size {game.num_joint} exceeds the cap of {joint_space_cap}"
@@ -312,12 +280,12 @@ def enumerate_cc_pne(
         # cheapest alternative: the runner-up when this action is the unique
         # minimizer, the (tied) minimum otherwise
         best_other = np.where(at_min & unique_min, second, lowest)
-        ok &= np.moveaxis(cost + unc.quantile(i, alpha) <= best_other, 0, i)
+        ok &= np.moveaxis(cost + q[i] <= best_other, 0, i)
     flats = np.nonzero(ok.reshape(-1))[0]
     if limit is not None:
         flats = flats[: int(limit)]
     profiles = tuple(unflatten(int(f), game.action_counts) for f in flats)
-    return CcPneSet(profiles=profiles, alpha_used=alpha)
+    return CcPneSet(profiles=profiles, alpha_used=float(alpha))
 
 
 def solve_reduced_rank(game: FiniteGame, pne_set: CcPneSet, sys_cost) -> RrSolution:

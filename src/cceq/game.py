@@ -21,19 +21,18 @@ __all__ = [
     "FiniteGame",
     "JointDistribution",
     "MASS_TOL",
-    "conditional_expected_deviation",
-    "deviation_cost",
     "flat_index",
     "game_from_dict",
     "game_to_dict",
+    "incentive_gains",
     "joint_space_size",
     "load_game",
     "save_game",
     "unflatten",
-    "unnormalized_expected_deviation",
 ]
 
-# Probability masses must sum to one within this tolerance.
+# Probability masses must sum to one within this tolerance; selection
+# results drop masses below it before they are certified.
 MASS_TOL = 1e-9
 
 
@@ -177,67 +176,25 @@ class JointDistribution:
         return float(sliced.sum())
 
 
-def deviation_cost(game: FiniteGame, agent: int, recommended: int, alternative: int, others) -> float:
-    """Cost change J_i(rec, others) - J_i(alt, others) from a unilateral switch.
+def incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
+    """One agent's unnormalized deviation gains under z, and its recommendation marginals.
 
-    ``others`` lists the remaining agents' actions in ascending agent order.
-    Positive means the alternative is cheaper, i.e. deviating pays off.
+    Returns ``(gains, marginals)``. ``gains[rec, alt]`` is the sum over the
+    other agents' actions x of z(rec, x) * (J_i(rec, x) - J_i(alt, x)); a
+    positive entry means switching from ``rec`` to ``alt`` pays off in
+    expectation. It is affine in z, the form the equilibrium LP rows take;
+    dividing row ``rec`` by ``marginals[rec]`` gives the expected gain
+    conditioned on the recommendation. A zero-marginal row is all zeros (its
+    constraints are vacuous) and the diagonal is zero.
     """
-    if recommended == alternative:
-        raise ValueError("alternative action must differ from the recommended one")
-    coords = list(others)
-    if len(coords) != game.num_agents - 1:
-        raise ValueError(
-            f"expected {game.num_agents - 1} opponent actions, got {len(coords)}"
-        )
-    coords.insert(agent, recommended)
-    stay = game.cost(agent, coords)
-    coords[agent] = alternative
-    switch = game.cost(agent, coords)
-    return stay - switch
-
-
-def _sliced(game: FiniteGame, z: JointDistribution, agent: int):
-    """Mass and cost grids with the agent's own axis moved first."""
     if z.action_counts != game.action_counts:
         raise ValueError("distribution does not match the game's action space")
-    zg = np.moveaxis(z.grid, agent, 0)
-    jg = np.moveaxis(game.cost_grid(agent), agent, 0)
-    return zg, jg
-
-
-def unnormalized_expected_deviation(
-    game: FiniteGame, z: JointDistribution, agent: int, recommended: int, alternative: int
-) -> float:
-    """Sum over opponents of z(rec, x_others) * (J(rec, .) - J(alt, .)).
-
-    This is the raw affine-in-z quantity the equilibrium LP rows are built
-    from; dividing by the marginal of the recommendation gives the
-    conditional expectation.
-    """
-    if recommended == alternative:
-        raise ValueError("alternative action must differ from the recommended one")
-    zg, jg = _sliced(game, z, agent)
-    diff = jg[recommended] - jg[alternative]
-    return float(np.sum(zg[recommended] * diff))
-
-
-def conditional_expected_deviation(
-    game: FiniteGame, z: JointDistribution, agent: int, recommended: int, alternative: int
-) -> float:
-    """Expected deviation cost conditioned on the recommendation.
-
-    Returns 0 when the recommendation has zero marginal probability: the
-    corresponding incentive constraint is vacuous.
-    """
-    if recommended == alternative:
-        raise ValueError("alternative action must differ from the recommended one")
-    zg, jg = _sliced(game, z, agent)
-    marginal = float(zg[recommended].sum())
-    if marginal <= 0.0:
-        return 0.0
-    diff = jg[recommended] - jg[alternative]
-    return float(np.sum(zg[recommended] * diff)) / marginal
+    m = game.action_counts[agent]
+    zmat = np.moveaxis(z.grid, agent, 0).reshape(m, -1)
+    jmat = np.moveaxis(game.cost_grid(agent), agent, 0).reshape(m, -1)
+    # pairwise[rec, alt] = sum_x z(rec, x) * J_i(alt, x)
+    pairwise = zmat @ jmat.T
+    return np.diag(pairwise)[:, None] - pairwise, zmat.sum(axis=1)
 
 
 # --- JSON serialization -----------------------------------------------------

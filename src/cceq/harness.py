@@ -37,8 +37,8 @@ from .game import (
     BudgetExceededError,
     FiniteGame,
     JointDistribution,
-    conditional_expected_deviation,
     flat_index,
+    incentive_gains,
 )
 from .lp import LpStatus, SolverFailureError
 from .uncertainty import UncertaintyModel, substream
@@ -238,25 +238,26 @@ def simulate_deviation(
     for i, m in enumerate(game.action_counts):
         if m == 1:
             continue
-        alternatives = [a for a in range(m) if a != rec[i]]
-        margins = [
-            conditional_expected_deviation(game, z, i, rec[i], a) + etas[i]
-            for a in alternatives
-        ]
+        gains, marginals = incentive_gains(game, z, i)
+        row = gains[rec[i]]
+        if marginals[rec[i]] > 0.0:  # a zero-marginal row is all zeros: vacuous
+            row = row / marginals[rec[i]]
+        margins = row + etas[i]
+        margins[rec[i]] = -np.inf
         best = int(np.argmax(margins))  # first maximum: lowest-index tie rule
         if margins[best] > 0.0:
-            final[i] = alternatives[best]
+            final[i] = best
     final_action = tuple(final)
     return final_action, final_action != rec
 
 
-def _solve_for_method(method, config, instance, game, sys_cost, unc):
+def _solve_for_method(method, config, instance, game, sys_cost, unc, deadline):
     """Method dispatch for pipeline step 3; returns (z, status, rr_size_d)."""
     if method == METHOD_FCFS:
         z = JointDistribution.point_mass(fcfs_profile(instance), game.action_counts)
         return z, STATUS_OK, None
     if method == METHOD_FULL_CCCE:
-        result = solve_full_ccce(game, unc, config.alpha, sys_cost)
+        result = solve_full_ccce(game, unc, config.alpha, sys_cost, deadline=deadline)
         if result.status != LpStatus.OPTIMAL:
             return None, STATUS_INFEASIBLE, None
         return result.distribution, STATUS_OK, None
@@ -275,11 +276,12 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     """Run one benchmark cell.
 
     Pipeline: generate the trial's instance, build its game, compute the
-    method's recommendation distribution (this step alone is timed and
-    checked against the per-solve budget), sample a recommendation, simulate
-    deviations under per-agent perturbations, and price the resulting joint
-    action with the coordinator's cost table. Per-trial failures become
-    statuses, never exceptions.
+    method's recommendation distribution (this step alone is timed and held
+    to the per-solve budget: the selection LP stops at its first pivot past
+    the budget), sample a recommendation, simulate deviations under
+    per-agent perturbations, and price the resulting joint action with the
+    coordinator's cost table. Per-trial failures, running out of memory
+    included, become statuses, never exceptions.
     """
     instance = generate_instance(
         num_flights,
@@ -302,9 +304,12 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     start = time.perf_counter()
     try:
         z, status, rr_size_d = _solve_for_method(
-            method, config, instance, game, sys_cost, unc
+            method, config, instance, game, sys_cost, unc,
+            deadline=start + config.time_budget_per_solve,
         )
-    except (SolverFailureError, BudgetExceededError):
+    except TimeoutError:
+        z, status, rr_size_d = None, STATUS_TIMEOUT, None
+    except (SolverFailureError, BudgetExceededError, MemoryError):
         z, status, rr_size_d = None, STATUS_SOLVER_FAILURE, None
     solve_seconds = time.perf_counter() - start
     if status != STATUS_SOLVER_FAILURE and solve_seconds > config.time_budget_per_solve:

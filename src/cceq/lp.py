@@ -10,6 +10,7 @@ with a fixed pivoting order, so results are deterministic.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -115,7 +116,10 @@ class LpSolution:
     objective_value: float | None = None
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int,
+           deadline: float | None) -> None:
+    if deadline is not None and time.perf_counter() > deadline:
+        raise TimeoutError("simplex passed its deadline")
     tableau[row] /= tableau[row, col]
     column = tableau[:, col].copy()
     column[row] = 0.0
@@ -130,7 +134,8 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 _STALL_LIMIT = 25
 
 
-def _simplex_iterate(tableau: np.ndarray, basis: np.ndarray, budget: int) -> tuple[str, int]:
+def _simplex_iterate(tableau: np.ndarray, basis: np.ndarray, budget: int,
+                     deadline: float | None) -> tuple[str, int]:
     """Run simplex pivots until optimal/unbounded; returns (status, pivots used).
 
     Entering column: most negative reduced cost (Dantzig) while the objective
@@ -167,7 +172,7 @@ def _simplex_iterate(tableau: np.ndarray, basis: np.ndarray, budget: int) -> tup
                 f"simplex exceeded its pivot budget of {budget} iterations"
             )
         before = tableau[-1, -1]
-        _pivot(tableau, basis, row, col)
+        _pivot(tableau, basis, row, col, deadline)
         used += 1
         if abs(tableau[-1, -1] - before) <= 1e-12 * (1.0 + abs(before)):
             stalled += 1
@@ -175,13 +180,15 @@ def _simplex_iterate(tableau: np.ndarray, basis: np.ndarray, budget: int) -> tup
             stalled = 0
 
 
-def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+def solve(lp: LinearProgram, max_iterations: int | None = None,
+          deadline: float | None = None) -> LpSolution:
     """Solve a linear program.
 
     Infeasibility and unboundedness are reported through the solution status,
     never raised. Exceeding the pivot budget (default 50 * (num_vars +
     num_constraints), shared across both phases) raises
-    :class:`SolverFailureError`.
+    :class:`SolverFailureError`; a pivot attempted after ``deadline`` (a
+    ``time.perf_counter()`` value) raises ``TimeoutError``.
     """
     n = lp.num_vars
     m_ub = lp.ineq_matrix.shape[0]
@@ -245,7 +252,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         tableau[-1, num_structural:num_structural + n_art] = 1.0
         for r in artificial_rows:
             tableau[-1, :] -= tableau[r, :]
-        status, used = _simplex_iterate(tableau, basis, budget)
+        status, used = _simplex_iterate(tableau, basis, budget, deadline)
         used_total += used
         if status == "unbounded":  # impossible for a sum of nonnegatives
             raise SolverFailureError("phase-1 simplex reported unbounded")
@@ -261,7 +268,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
             eligible = np.nonzero(np.abs(tableau[r, :num_structural]) > PIVOT_TOL)[0]
             eligible = [j for j in eligible if j not in set(basis)]
             if eligible:
-                _pivot(tableau, basis, r, int(eligible[0]))
+                _pivot(tableau, basis, r, int(eligible[0]), deadline)
             else:
                 drop_rows.append(r)
         if drop_rows:
@@ -279,7 +286,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
         if coef != 0.0:
             objective_row -= coef * tableau[r]
     tableau[-1] = objective_row
-    status, used = _simplex_iterate(tableau, basis, budget - used_total)
+    status, used = _simplex_iterate(tableau, basis, budget - used_total, deadline)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 

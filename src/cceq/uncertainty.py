@@ -1,10 +1,10 @@
 """Per-agent additive perturbations of deviation costs.
 
 Each agent's perturbation is a single zero-mean draw shared across all of its
-deviation comparisons within a trial. Only Gaussian perturbations (and the
-sigma = 0 degenerate case) are supported; downstream code needs two things
-from a perturbation: its alpha-quantile, used to tighten incentive
-constraints, and seeded sampling for Monte Carlo trials.
+deviation comparisons within a trial. Only Gaussian perturbations are
+supported, sigma = 0 being the identically zero one; downstream code needs
+two things from a perturbation: its alpha-quantile, used to tighten
+incentive constraints, and seeded sampling for Monte Carlo trials.
 
 Reproducibility: all randomness flows through numpy PCG64 generators keyed by
 an explicit integer path, see :func:`substream`. Identical paths give
@@ -16,22 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 __all__ = [
-    "DEGENERATE_ZERO",
-    "GAUSSIAN",
     "PerturbationDist",
     "UncertaintyModel",
     "standard_normal_cdf",
     "standard_normal_quantile",
     "substream",
 ]
-
-GAUSSIAN = "gaussian"
-DEGENERATE_ZERO = "degenerate-zero"
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -83,14 +77,11 @@ def standard_normal_quantile(p: float) -> float:
 
 @dataclass(frozen=True)
 class PerturbationDist:
-    """One agent's perturbation: Gaussian with given sigma, or identically zero."""
+    """One agent's perturbation: zero-mean Gaussian; sigma = 0 is identically zero."""
 
-    kind: Literal["gaussian", "degenerate-zero"]
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (GAUSSIAN, DEGENERATE_ZERO):
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
         sigma = float(self.sigma)
         if not (math.isfinite(sigma) and sigma >= 0.0):
             raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
@@ -98,24 +89,18 @@ class PerturbationDist:
 
     @classmethod
     def gaussian(cls, sigma: float) -> "PerturbationDist":
-        return cls(GAUSSIAN, sigma)
-
-    @classmethod
-    def degenerate_zero(cls) -> "PerturbationDist":
-        return cls(DEGENERATE_ZERO, 0.0)
+        return cls(sigma)
 
     def quantile(self, alpha: float) -> float:
-        """alpha-quantile; sigma * Phi^-1(alpha) for Gaussian, 0 for degenerate."""
+        """alpha-quantile, sigma * Phi^-1(alpha); 0 when sigma = 0."""
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-        if self.kind == DEGENERATE_ZERO or self.sigma == 0.0:
+        if self.sigma == 0.0:
             return 0.0
         return self.sigma * standard_normal_quantile(alpha)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw one perturbation value (or ``size`` of them) from ``rng``."""
-        if self.kind == DEGENERATE_ZERO:
-            return 0.0 if size is None else np.zeros(size)
         if size is None:
             return float(self.sigma * rng.standard_normal())
         return self.sigma * rng.standard_normal(size)
@@ -135,7 +120,8 @@ class UncertaintyModel:
 
     @classmethod
     def zero(cls, num_agents: int) -> "UncertaintyModel":
-        return cls(tuple(PerturbationDist.degenerate_zero() for _ in range(num_agents)))
+        """No perturbation: sigma = 0 for every agent."""
+        return cls.gaussian(0.0, num_agents)
 
     @classmethod
     def gaussian(cls, sigma, num_agents: int) -> "UncertaintyModel":

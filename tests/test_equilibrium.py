@@ -5,11 +5,9 @@ import pytest
 
 from cceq.equilibrium import (
     CcPneSet,
-    DeviationConstraintId,
     assemble_ce_constraints,
-    build_tightening,
+    ccce_program,
     check_ccce_feasibility,
-    deviation_ids,
     enumerate_cc_pne,
     is_cc_pne,
     sample_recommendation,
@@ -17,11 +15,17 @@ from cceq.equilibrium import (
     solve_nominal_ce,
     solve_reduced_rank,
     solve_reduced_rank_lp,
-    zero_tightening,
 )
-from cceq.game import BudgetExceededError, FiniteGame, JointDistribution, flat_index
-from cceq.lp import LpStatus
+from cceq.game import (
+    BudgetExceededError,
+    FiniteGame,
+    JointDistribution,
+    flat_index,
+    incentive_gains,
+)
+from cceq.lp import LpSolution, LpStatus, SolverFailureError
 from cceq.uncertainty import UncertaintyModel, substream
+from cceq.vq import build_game, generate_instance
 from oracles import eq_feasible, eq_margins, enumerate_lp_vertices, random_game
 
 UNC0 = UncertaintyModel.zero(2)
@@ -33,36 +37,42 @@ def sigmas_of(unc):
     return [d.sigma for d in unc.per_agent]
 
 
-def test_deviation_ids_canonical():
-    game = FiniteGame((2, 3), np.zeros((2, 6)))
-    ids = deviation_ids(game)
-    assert len(ids) == 2 * 1 + 3 * 2
-    assert ids[0] == DeviationConstraintId(0, 0, 1)
-    assert ids[-1] == DeviationConstraintId(1, 2, 1)
+def canonical_ids(game):
+    """(agent, recommended, alternative) of each incentive row, in row order."""
+    return [(i, rec, alt) for i, m in enumerate(game.action_counts)
+            for rec in range(m) for alt in range(m) if alt != rec]
+
+
+def test_assemble_row_order_canonical():
+    game = FiniteGame((2, 3), np.arange(12.0).reshape(2, 6) ** 2)
+    rows = assemble_ce_constraints(game, np.zeros(2))
+    assert rows.shape == (2 * 1 + 3 * 2, 6)
+    costs = game.costs.reshape(2, 2, 3)
+    # first row: agent 0 told 0, tempted by 1; last: agent 1 told 2, tempted by 1
+    assert np.array_equal(rows[0].reshape(2, 3)[0], costs[0, 0] - costs[0, 1])
+    assert not rows[0].reshape(2, 3)[1].any()
+    assert np.array_equal(rows[-1].reshape(2, 3)[:, 2], costs[1, :, 2] - costs[1, :, 1])
+    assert not rows[-1].reshape(2, 3)[:, :2].any()
 
 
 def test_assemble_nominal_intersection_game(intersection_game, half_device):
-    rows, ids = assemble_ce_constraints(intersection_game, zero_tightening(intersection_game))
+    rows = assemble_ce_constraints(intersection_game, np.zeros(2))
     assert rows.shape == (4, 4)
-    assert len(ids) == 4
     # the half/half device satisfies every nominal row
     assert float((rows @ half_device.mass).max()) <= 1e-12
 
 
 def test_assemble_tightened_intersection_game(intersection_game, half_device):
-    tight = build_tightening(intersection_game, UNC1, 0.9)
-    rows, _ = assemble_ce_constraints(intersection_game, tight)
+    rows = assemble_ce_constraints(intersection_game, UNC1.quantiles(0.9))
     assert float((rows @ half_device.mass).max()) <= 0.0  # margins -2, -4 vs 1.2816
-    tight99 = build_tightening(intersection_game, UNC1, 0.99)
-    rows99, _ = assemble_ce_constraints(intersection_game, tight99)
+    rows99 = assemble_ce_constraints(intersection_game, UNC1.quantiles(0.99))
     assert float((rows99 @ half_device.mass).max()) > 0.0  # -2 + 2.3263 > 0
 
 
 def test_assemble_missing_tightening(intersection_game):
-    tight = zero_tightening(intersection_game)
-    del tight[DeviationConstraintId(1, 0, 1)]
+    # one tightening per agent: a vector missing an agent's entry is rejected
     with pytest.raises(ValueError):
-        assemble_ce_constraints(intersection_game, tight)
+        assemble_ce_constraints(intersection_game, np.zeros(1))
 
 
 def test_check_intersection_game_values(intersection_game, half_device):
@@ -112,8 +122,7 @@ def test_full_solve_matches_vertex_oracle_on_random_games(intersection_game):
         counts = (2, 2)
         game = FiniteGame(counts, rng.integers(-5, 6, size=(2, 4)).astype(float))
         sys_cost = game.costs.sum(axis=0)
-        from cceq.equilibrium import ccce_program
-        program = ccce_program(game, zero_tightening(game), sys_cost)
+        program = ccce_program(game, np.zeros(2), sys_cost)
         vertices = enumerate_lp_vertices(program.ineq_matrix, program.ineq_rhs,
                                          program.eq_matrix, program.eq_rhs, 4)
         oracle = min(float(program.objective @ v) for v in vertices)
@@ -354,21 +363,51 @@ def test_sample_recommendation_deterministic(half_device):
 
 
 def test_assemble_rows_consistent_with_check_margins():
-    # unnormalized LP row value == marginal * normalized margin, per constraint
+    # unnormalized LP row value == marginal * normalized margin, per constraint;
+    # the gain kernel's rows, normalized and tightened, are those margins
     rng = np.random.default_rng(4242)
     for _ in range(25):
         game = random_game(rng)
         unc = UncertaintyModel.gaussian(float(rng.uniform(0, 2)), game.num_agents)
         alpha = float(rng.uniform(0.1, 0.95))
-        rows, ids = assemble_ce_constraints(game, build_tightening(game, unc, alpha))
+        quantiles = unc.quantiles(alpha)
+        rows = assemble_ce_constraints(game, quantiles)
         mass = rng.dirichlet(np.ones(game.num_joint))
         z = JointDistribution(mass, game.action_counts)
         margins = eq_margins(game, mass, [d.sigma for d in unc.per_agent], alpha)
-        for row, cid in zip(rows, ids):
-            marginal = z.marginal(cid.agent, cid.recommended)
+        kernel = [incentive_gains(game, z, i) for i in range(game.num_agents)]
+        for row, (i, rec, alt) in zip(rows, canonical_ids(game), strict=True):
+            marginal = z.marginal(i, rec)
+            gains, marginals = kernel[i]
+            assert marginals[rec] == pytest.approx(marginal, abs=1e-12)
             if marginal <= 0.0:
                 assert float(row @ mass) == pytest.approx(0.0, abs=1e-12)
+                assert gains[rec, alt] == 0.0
             else:
                 assert float(row @ mass) == pytest.approx(
-                    marginal * margins[(cid.agent, cid.recommended, cid.alternative)],
-                    abs=1e-8)
+                    marginal * margins[(i, rec, alt)], abs=1e-8)
+                assert gains[rec, alt] / marginals[rec] + quantiles[i] == pytest.approx(
+                    margins[(i, rec, alt)], abs=1e-9)
+
+
+@pytest.mark.parametrize("master_seed, num_flights, trial", [(0, 11, 2), (2, 9, 18)])
+def test_full_solve_result_passes_the_check_on_airport_games(master_seed, num_flights, trial):
+    # the simplex's tie-breaking perturbation left sub-1e-9 "ghost" masses on
+    # these games' OPTIMAL results, with worst normalized margins near 95
+    instance = generate_instance(
+        num_flights, 5, seed=np.random.SeedSequence((master_seed, 0, trial, num_flights)))
+    game, sys_cost = build_game(instance)
+    unc = UncertaintyModel.gaussian(1.0, game.num_agents)
+    result = solve_full_ccce(game, unc, 0.9, sys_cost)
+    assert result.status == LpStatus.OPTIMAL
+    ok, worst = check_ccce_feasibility(game, result.distribution, unc, 0.9)
+    assert ok, f"worst margin {worst}"
+
+
+def test_full_solve_rejects_an_uncertified_result(intersection_game, intersection_sys_cost,
+                                                  monkeypatch):
+    # (S,S) is no CE: agent 0 gains 2 by switching to G
+    fake = LpSolution(LpStatus.OPTIMAL, np.array([0.0, 0.0, 0.0, 1.0]), 2.0)
+    monkeypatch.setattr("cceq.lp.solve", lambda program, deadline=None: fake)
+    with pytest.raises(SolverFailureError, match="worst margin 2"):
+        solve_full_ccce(intersection_game, UNC0, 0.9, intersection_sys_cost)

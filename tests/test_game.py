@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 from cceq.game import (
     FiniteGame,
     JointDistribution,
-    conditional_expected_deviation,
-    deviation_cost,
     flat_index,
     game_from_dict,
     game_to_dict,
+    incentive_gains,
     load_game,
     save_game,
     unflatten,
-    unnormalized_expected_deviation,
 )
 
 
@@ -58,14 +56,23 @@ def test_flat_unflatten_roundtrip_full_space(counts):
 
 
 def test_deviation_cost_intersection_game(intersection_game):
-    # agent 1 of the paper's table is index 0 here
-    assert deviation_cost(intersection_game, 0, 0, 1, (1,)) == pytest.approx(-2.0)
-    assert deviation_cost(intersection_game, 0, 1, 0, (1,)) == pytest.approx(2.0)
+    # agent 1 of the paper's table is index 0 here; under a point mass the
+    # gain is the plain cost change J_0(rec, x_1) - J_0(alt, x_1)
+    gains, _ = incentive_gains(intersection_game, JointDistribution.point_mass((0, 1), (2, 2)), 0)
+    assert gains[0, 1] == pytest.approx(-2.0)
+    gains, _ = incentive_gains(intersection_game, JointDistribution.point_mass((1, 1), (2, 2)), 0)
+    assert gains[1, 0] == pytest.approx(2.0)
 
 
-def test_deviation_cost_same_action_raises(intersection_game):
+def test_incentive_gains_diagonal_and_validation(intersection_game):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        game = FiniteGame((2, 3, 2), rng.normal(size=(3, 12)))
+        z = JointDistribution(rng.dirichlet(np.ones(12)), (2, 3, 2))
+        for agent in range(3):
+            assert np.all(np.diag(incentive_gains(game, z, agent)[0]) == 0.0)
     with pytest.raises(ValueError):
-        deviation_cost(intersection_game, 0, 0, 0, (1,))
+        incentive_gains(intersection_game, JointDistribution(np.ones(3) / 3, (3,)), 0)
 
 
 def test_deviation_cost_antisymmetry():
@@ -76,21 +83,27 @@ def test_deviation_cost_antisymmetry():
         costs = rng.normal(size=(n, int(np.prod(counts))))
         game = FiniteGame(counts, costs)
         agent = int(rng.integers(n))
-        a, b = rng.choice(counts[agent], size=2, replace=False)
-        others = tuple(int(rng.integers(counts[j])) for j in range(n) if j != agent)
-        fwd = deviation_cost(game, agent, int(a), int(b), others)
-        back = deviation_cost(game, agent, int(b), int(a), others)
+        a, b = (int(x) for x in rng.choice(counts[agent], size=2, replace=False))
+        coords = [int(rng.integers(m)) for m in counts]
+        coords[agent] = a
+        fwd = incentive_gains(game, JointDistribution.point_mass(coords, counts), agent)[0][a, b]
+        coords[agent] = b
+        back = incentive_gains(game, JointDistribution.point_mass(coords, counts), agent)[0][b, a]
         assert fwd == pytest.approx(-back, abs=1e-9)
 
 
 def test_conditional_expected_deviation_intersection_game(intersection_game, half_device):
-    assert conditional_expected_deviation(intersection_game, half_device, 0, 0, 1) == pytest.approx(-2.0)
-    assert conditional_expected_deviation(intersection_game, half_device, 0, 1, 0) == pytest.approx(-4.0)
+    gains, marginals = incentive_gains(intersection_game, half_device, 0)
+    assert np.array_equal(marginals, [0.5, 0.5])
+    assert gains[0, 1] / marginals[0] == pytest.approx(-2.0)
+    assert gains[1, 0] / marginals[1] == pytest.approx(-4.0)
 
 
 def test_conditional_zero_marginal_is_vacuous(intersection_game):
     z = JointDistribution(np.array([0.0, 0.0, 0.5, 0.5]), (2, 2))  # never recommends G to agent 0
-    assert conditional_expected_deviation(intersection_game, z, 0, 0, 1) == 0.0
+    gains, marginals = incentive_gains(intersection_game, z, 0)
+    assert marginals[0] == 0.0
+    assert np.array_equal(gains[0], [0.0, 0.0])
 
 
 def test_unnormalized_is_linear_in_z(intersection_game):
@@ -102,11 +115,11 @@ def test_unnormalized_is_linear_in_z(intersection_game):
         z1 = JointDistribution(m1, (2, 2))
         z2 = JointDistribution(m2, (2, 2))
         mix = JointDistribution(lam * m1 + (1 - lam) * m2, (2, 2))
-        for rec, alt in ((0, 1), (1, 0)):
-            blended = lam * unnormalized_expected_deviation(intersection_game, z1, 0, rec, alt) \
-                + (1 - lam) * unnormalized_expected_deviation(intersection_game, z2, 0, rec, alt)
-            direct = unnormalized_expected_deviation(intersection_game, mix, 0, rec, alt)
-            assert direct == pytest.approx(blended, abs=1e-9)
+        for agent in (0, 1):
+            blended = lam * incentive_gains(intersection_game, z1, agent)[0] \
+                + (1 - lam) * incentive_gains(intersection_game, z2, agent)[0]
+            direct = incentive_gains(intersection_game, mix, agent)[0]
+            assert np.allclose(direct, blended, rtol=0.0, atol=1e-9)
 
 
 def test_distribution_validation():

@@ -1,4 +1,5 @@
 import csv
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,29 @@ def test_timeout_status():
     record = run_trial(config, 0, "full-ccce", 6)
     assert record.status == "timeout"
     assert record.delay_cost is None and record.deviated is None
+
+
+def test_timeout_stops_the_solve():
+    # this selection LP pivots for about 15 s; the budget stops it at the
+    # first pivot past 0.2 s, after about 0.5 s of setup
+    config = ExperimentConfig(num_trials=2, flight_counts=(12,), sigma=1.0, num_airlines=5,
+                              master_seed=0, time_budget_per_solve=0.2)
+    start = time.perf_counter()
+    record = run_trial(config, 1, "full-ccce", 12)
+    assert record.status == "timeout"
+    assert time.perf_counter() - start < 3.0
+
+
+def test_memory_error_becomes_solver_failure(tmp_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("cceq.harness.solve_full_ccce", exhausted)
+    out = tmp_path / "results.csv"
+    result = run_experiment(base_config(methods=("full-ccce", "fcfs"), out_path=str(out)))
+    statuses = [(r.method, r.status) for r in result.records]
+    assert statuses == [("full-ccce", "solver-failure")] * 2 + [("fcfs", "ok")] * 2
+    assert len(list(csv.reader(out.open()))) == 1 + len(statuses)
 
 
 def test_run_experiment_csv_and_summary(tmp_path):

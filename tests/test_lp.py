@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from cceq.equilibrium import ccce_program, zero_tightening
+from cceq.equilibrium import ccce_program
 from cceq.lp import (
     LinearProgram,
     LpStatus,
@@ -80,7 +80,7 @@ def test_geq_constraints_via_negation():
 
 
 def test_intersection_game_ce_polytope_against_vertex_oracle(intersection_game, intersection_sys_cost):
-    program = ccce_program(intersection_game, zero_tightening(intersection_game), intersection_sys_cost)
+    program = ccce_program(intersection_game, np.zeros(2), intersection_sys_cost)
     vertices = enumerate_lp_vertices(
         program.ineq_matrix, program.ineq_rhs, program.eq_matrix, program.eq_rhs, 4
     )
@@ -189,7 +189,6 @@ def test_format_lp_dump():
 def test_vq_selection_programs_match_scipy():
     # the degenerate zero-rhs incentive programs are the solver's worst case;
     # hammer a spread of sizes and tightenings against HiGHS
-    from cceq.equilibrium import build_tightening
     from cceq.uncertainty import UncertaintyModel
     from cceq.vq import build_game, generate_instance
 
@@ -198,7 +197,7 @@ def test_vq_selection_programs_match_scipy():
         inst = generate_instance(flights, 5, seed=seed)
         game, sys_cost = build_game(inst)
         unc = UncertaintyModel.gaussian(sigma, 5)
-        program = ccce_program(game, build_tightening(game, unc, 0.9), sys_cost)
+        program = ccce_program(game, unc.quantiles(0.9), sys_cost)
         sol = solve(program)
         ref = scipy_solve(program)
         assert sol.status == LpStatus.OPTIMAL and ref.status == 0

@@ -57,13 +57,14 @@ def test_quantile_invalid_alpha():
 
 
 def test_degenerate_dist():
-    dist = PerturbationDist.degenerate_zero()
+    # sigma = 0 is the degenerate, identically zero perturbation
+    dist = PerturbationDist.gaussian(0.0)
     assert dist.quantile(0.99) == 0.0
+    assert dist.quantile(0.01) == 0.0
     assert dist.sample(substream(1)) == 0.0
+    assert not dist.sample(substream(1), size=5).any()
     with pytest.raises(ValueError):
         PerturbationDist.gaussian(-1.0)
-    with pytest.raises(ValueError):
-        PerturbationDist("weibull", 1.0)
 
 
 def test_zero_sigma_gaussian_samples_zero():
@@ -95,6 +96,7 @@ def test_uncertainty_model_builders():
     per_agent = UncertaintyModel.gaussian((1.0, 2.0), 2)
     assert per_agent.quantiles(0.9)[1] == pytest.approx(2.5631031, abs=1e-6)
     zero = UncertaintyModel.zero(4)
+    assert zero.per_agent == (PerturbationDist.gaussian(0.0),) * 4
     assert list(zero.quantiles(0.73)) == [0.0] * 4
     with pytest.raises(ValueError):
         UncertaintyModel.gaussian((1.0, 2.0), 3)
