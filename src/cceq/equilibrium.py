@@ -1,10 +1,10 @@
 """Equilibrium selection programs over finite games.
 
 Covers the full pipeline: assembling (tightened) incentive-compatibility
-rows, solving the correlated-equilibrium selection LP, checking a given
-distribution, enumerating chance-constrained pure Nash equilibria (CC-PNE),
-the reduced-rank program over their convex hull, and sampling
-recommendations.
+rows straight into the column-wise form the LP solver takes, solving the
+correlated-equilibrium selection LP, checking a given distribution,
+enumerating chance-constrained pure Nash equilibria (CC-PNE), the
+reduced-rank program over their convex hull, and sampling recommendations.
 
 Chance constraints are never Monte-Carlo estimated here: each probabilistic
 incentive constraint is replaced by its exact deterministic equivalent, the
@@ -47,7 +47,6 @@ __all__ = [
     "solve_full_ccce",
     "solve_nominal_ce",
     "solve_reduced_rank",
-    "solve_reduced_rank_lp",
 ]
 
 # Constraint replay tolerance, consistent with the LP module contract.
@@ -98,11 +97,11 @@ def _quantiles(game: FiniteGame, unc: UncertaintyModel, alpha: float) -> np.ndar
     return unc.quantiles(alpha)
 
 
-def assemble_ce_constraints(game: FiniteGame, quantiles) -> np.ndarray:
-    """Incentive rows of the (tightened) CE program.
+def assemble_ce_constraints(game: FiniteGame, quantiles) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint columns of the (tightened) CE selection program.
 
-    Returns ``rows`` such that ``rows @ z <= 0`` encodes, for each agent i,
-    recommendation rec and alternative alt != rec, the unnormalized form
+    Row (i, rec, alt) encodes, for agent i, recommendation rec and
+    alternative alt != rec, the unnormalized incentive constraint
 
         sum_{x_others} z(rec, x_others) * (J_i(rec, .) - J_i(alt, .) + q_i) <= 0,
 
@@ -111,26 +110,40 @@ def assemble_ce_constraints(game: FiniteGame, quantiles) -> np.ndarray:
     recommendation's marginal is positive, and vacuous (0 <= 0) when it is
     zero. ``quantiles`` holds one tightening q_i per agent (zeros for the
     nominal program). Rows are ordered by agent, then rec, then alt, and
-    number sum_i m_i * (m_i - 1). The caller adds the probability-simplex rows.
+    number R = sum_i m_i * (m_i - 1); row R is the probability-simplex row.
+
+    Returns ``(index, value)``, each of shape (num_joint, sum_i (m_i - 1) + 1):
+    joint action x's column holds, agent by agent, the rows (i, x_i, alt) for
+    each alt != x_i in ascending order, then a 1 in the simplex row, so row
+    indices ascend within every column.
     """
     q = np.asarray(quantiles, dtype=float)
     if q.shape != (game.num_agents,):
         raise ValueError(f"need one tightening per agent, got shape {q.shape}")
     counts = game.action_counts
-    rows = np.zeros((sum(m * (m - 1) for m in counts), game.num_joint))
-    start = 0
+    width = sum(m - 1 for m in counts) + 1
+    index = np.empty((game.num_joint, width), dtype=np.int32)
+    value = np.empty((game.num_joint, width))
+    row0 = 0
+    col0 = 0
     for i, m in enumerate(counts):
-        stop = start + m * (m - 1)
-        # block[rec, j] is the row for (rec, alts[rec, j]) on the joint grid,
-        # agent i's axis moved to position 2; a view into rows
-        block = np.moveaxis(rows[start:stop].reshape(m, m - 1, *counts), 2 + i, 2)
+        if m == 1:
+            continue
         recs = np.arange(m)
         slots = np.arange(m - 1)
         alts = slots + (slots >= recs[:, None])
+        # entries[rec, ..., slot]: the joint grid with agent i's axis first
         cost = np.moveaxis(game.cost_grid(i), i, 0)
-        block[recs, :, recs] = cost[:, None] - cost[alts] + q[i]
-        start = stop
-    return rows
+        entries = np.moveaxis(cost[:, None] - cost[alts] + q[i], 1, -1)
+        value[:, col0:col0 + m - 1] = np.moveaxis(entries, 0, i).reshape(-1, m - 1)
+        own = np.arange(m).reshape([m if k == i else 1 for k in range(len(counts))])
+        rows = row0 + (m - 1) * np.broadcast_to(own, counts).reshape(-1, 1) + slots
+        index[:, col0:col0 + m - 1] = rows
+        row0 += m * (m - 1)
+        col0 += m - 1
+    index[:, -1] = row0
+    value[:, -1] = 1.0
+    return index, value
 
 
 def ccce_program(game: FiniteGame, quantiles, sys_cost) -> LinearProgram:
@@ -140,13 +153,17 @@ def ccce_program(game: FiniteGame, quantiles, sys_cost) -> LinearProgram:
         raise ValueError("sys_cost must assign one finite value per joint action")
     if not np.all(np.isfinite(objective)):
         raise ValueError("sys_cost must be finite everywhere")
-    rows = assemble_ce_constraints(game, quantiles)
+    index, value = assemble_ce_constraints(game, quantiles)
+    num_incentive = sum(m * (m - 1) for m in game.action_counts)
+    row_upper = np.append(np.zeros(num_incentive), 1.0)
+    row_lower = np.append(np.full(num_incentive, -np.inf), 1.0)
     return LinearProgram(
         objective=objective,
-        ineq_matrix=rows,
-        ineq_rhs=np.zeros(rows.shape[0]),
-        eq_matrix=np.ones((1, game.num_joint)),
-        eq_rhs=np.ones(1),
+        start=np.arange(game.num_joint + 1) * index.shape[1],
+        index=index,
+        value=value,
+        row_lower=row_lower,
+        row_upper=row_upper,
         lower_bounds=np.zeros(game.num_joint),
     )
 
@@ -158,9 +175,9 @@ def _solve_selection(game: FiniteGame, quantiles, sys_cost,
         return EquilibriumResult(LpStatus.INFEASIBLE)
     if solution.status != LpStatus.OPTIMAL:  # bounded feasible set; defensive
         raise SolverFailureError("selection LP reported unbounded")
-    # the simplex's tie-breaking rhs perturbation can leave "ghost" masses
-    # on joint actions whose incentive constraints fail; kept, their tiny
-    # marginals would blow the normalized margins up
+    # within the solver's feasibility tolerance a vertex can carry "ghost"
+    # masses on joint actions whose incentive constraints fail; kept, their
+    # tiny marginals would blow the normalized margins up
     mass = np.where(solution.values < MASS_TOL, 0.0, solution.values)
     mass /= mass.sum()
     dist = JointDistribution(mass, game.action_counts)
@@ -188,8 +205,9 @@ def solve_full_ccce(
     ``MASS_TOL`` and has passed :func:`check_ccce_feasibility`; one that
     fails it raises :class:`SolverFailureError`, as do other LP solver
     failures. Infeasibility of the tightened polytope is reported through
-    the result status. ``deadline``, a ``time.perf_counter()`` value, makes
-    the solve raise ``TimeoutError`` once it has passed.
+    the result status. ``deadline``, a ``time.perf_counter()`` value, bounds
+    the solve: it is checked once the program is assembled, the time left
+    becomes the solver's time limit, and passing it raises ``TimeoutError``.
     """
     return _solve_selection(game, _quantiles(game, unc, alpha), sys_cost, deadline)
 
@@ -268,20 +286,24 @@ def enumerate_cc_pne(
         raise BudgetExceededError(
             f"joint space of size {game.num_joint} exceeds the cap of {joint_space_cap}"
         )
-    ok = np.ones(game.action_counts, dtype=bool)
+    ok = np.ones(game.num_joint, dtype=bool)
+    stride = game.num_joint
     for i, m in enumerate(game.action_counts):
+        stride //= m
         if m == 1:
             continue
-        cost = np.moveaxis(game.cost_grid(i), i, 0)
-        two_smallest = np.partition(cost, 1, axis=0)
-        lowest, second = two_smallest[0], two_smallest[1]
-        at_min = cost == lowest
-        unique_min = at_min.sum(axis=0) == 1
-        # cheapest alternative: the runner-up when this action is the unique
-        # minimizer, the (tied) minimum otherwise
-        best_other = np.where(at_min & unique_min, second, lowest)
-        ok &= np.moveaxis(cost + q[i] <= best_other, 0, i)
-    flats = np.nonzero(ok.reshape(-1))[0]
+        cost = game.costs[i].reshape(-1, m, stride)  # [before, own action, after]
+        if m == 2:
+            best_other = cost[:, ::-1]  # the only alternative, as a view
+        else:
+            two_smallest = np.partition(cost, 1, axis=1)
+            lowest, second = two_smallest[:, :1], two_smallest[:, 1:2]
+            # cheapest alternative: the runner-up for the unique minimizer
+            # (the only action below it), the (tied) minimum otherwise; with
+            # q > 0 only the unique minimizer can pass, so the runner-up decides
+            best_other = second if q[i] > 0.0 else np.where(cost < second, second, lowest)
+        ok &= (cost + q[i] <= best_other).reshape(-1)
+    flats = np.nonzero(ok)[0]
     if limit is not None:
         flats = flats[: int(limit)]
     profiles = tuple(unflatten(int(f), game.action_counts) for f in flats)
@@ -306,27 +328,6 @@ def solve_reduced_rank(game: FiniteGame, pne_set: CcPneSet, sys_cost) -> RrSolut
     mass[flats] = weights
     induced = JointDistribution(mass, game.action_counts)
     return RrSolution(LpStatus.OPTIMAL, weights, induced, float(values[best]))
-
-
-def solve_reduced_rank_lp(game: FiniteGame, pne_set: CcPneSet, sys_cost) -> RrSolution:
-    """LP formulation of :func:`solve_reduced_rank`; must agree on the objective."""
-    if len(pne_set) == 0:
-        return RrSolution(LpStatus.INFEASIBLE)
-    sys_cost = np.asarray(sys_cost, dtype=float)
-    flats = [flat_index(p, game.action_counts) for p in pne_set.profiles]
-    values = sys_cost[flats]
-    program = LinearProgram.from_rows(
-        objective=values, eq=[(np.ones(len(flats)), 1.0)]
-    )
-    solution = lpmod.solve(program)
-    if solution.status != LpStatus.OPTIMAL:  # the simplex is never empty
-        raise SolverFailureError("reduced-rank LP did not reach optimality")
-    weights = np.maximum(solution.values, 0.0)
-    weights /= weights.sum()
-    mass = np.zeros(game.num_joint)
-    mass[flats] = weights
-    induced = JointDistribution(mass, game.action_counts)
-    return RrSolution(LpStatus.OPTIMAL, weights, induced, float(solution.objective_value))
 
 
 def sample_recommendation(z: JointDistribution, rng: np.random.Generator) -> tuple[int, ...]:

@@ -40,7 +40,7 @@ from .game import (
     flat_index,
     incentive_gains,
 )
-from .lp import LpStatus, SolverFailureError
+from .lp import LpStatus, SolverFailureError, load_highs
 from .uncertainty import UncertaintyModel, substream
 from .vq import build_game, fcfs_profile, generate_instance
 
@@ -277,11 +277,12 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
 
     Pipeline: generate the trial's instance, build its game, compute the
     method's recommendation distribution (this step alone is timed and held
-    to the per-solve budget: the selection LP stops at its first pivot past
-    the budget), sample a recommendation, simulate deviations under
-    per-agent perturbations, and price the resulting joint action with the
-    coordinator's cost table. Per-trial failures, running out of memory
-    included, become statuses, never exceptions.
+    to the per-solve budget: the selection LP solve checks it after assembly
+    and hands the remainder to the solver as its time limit), sample a
+    recommendation, simulate deviations under per-agent perturbations, and
+    price the resulting joint action with the coordinator's cost table.
+    Per-trial failures, running out of memory included, become statuses,
+    never exceptions.
     """
     instance = generate_instance(
         num_flights,
@@ -300,6 +301,8 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
             status=STATUS_SOLVER_FAILURE, solve_seconds=0.0,
         )
     unc = UncertaintyModel.gaussian(config.sigma, game.num_agents)
+    if method == METHOD_FULL_CCCE:
+        load_highs()  # a one-time import, kept out of solve_seconds
 
     start = time.perf_counter()
     try:

@@ -3,7 +3,9 @@
 Everything here is written from the underlying math, separately from the
 package implementation: an erf-series normal CDF with bisection inversion, a
 loop-based chance-constrained CE feasibility checker (quantiles via scipy), a
-brute-force LP vertex enumerator, and constructors for LPs with known optima.
+brute-force LP vertex enumerator, constructors for LPs with known optima, a
+dense view of the package's column-wise LPs, and the LP form of the
+reduced-rank program.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from cceq.game import FiniteGame
-from cceq.lp import LinearProgram
+from cceq import lp as lpmod
+from cceq.equilibrium import RrSolution
+from cceq.game import FiniteGame, JointDistribution, flat_index
+from cceq.lp import LinearProgram, LpStatus
 
 
 def erf_series(x: float) -> float:
@@ -102,6 +106,37 @@ def enumerate_lp_vertices(a_ub, b_ub, a_eq, b_eq, num_vars: int,
             if not any(np.allclose(v, u, atol=1e-8) for u in vertices):
                 vertices.append(v)
     return vertices
+
+
+def dense_constraints(lp: LinearProgram):
+    """``(A_ub, b_ub, A_eq, b_eq)`` of a column-wise program: its rows with
+    ``row_lower = -inf`` as ``A_ub @ v <= b_ub``, and its equality rows."""
+    matrix = np.zeros((lp.num_constraints, lp.num_vars))
+    matrix[lp.index, np.repeat(np.arange(lp.num_vars), np.diff(lp.start))] = lp.value
+    ineq = np.isneginf(lp.row_lower)
+    eq = lp.row_lower == lp.row_upper
+    if not np.all(ineq | eq):
+        raise ValueError("ranged rows have no (A_ub, A_eq) form")
+    return matrix[ineq], lp.row_upper[ineq], matrix[eq], lp.row_upper[eq]
+
+
+def solve_reduced_rank_lp(game: FiniteGame, pne_set, sys_cost) -> RrSolution:
+    """LP formulation of ``solve_reduced_rank``: minimize cost over the
+    simplex of weights on the profiles; must agree on the objective."""
+    if len(pne_set) == 0:
+        return RrSolution(LpStatus.INFEASIBLE)
+    sys_cost = np.asarray(sys_cost, dtype=float)
+    flats = [flat_index(p, game.action_counts) for p in pne_set.profiles]
+    values = sys_cost[flats]
+    program = LinearProgram.from_rows(objective=values, eq=[(np.ones(len(flats)), 1.0)])
+    solution = lpmod.solve(program)
+    assert solution.status == LpStatus.OPTIMAL, "the weight simplex is never empty"
+    weights = np.maximum(solution.values, 0.0)
+    weights /= weights.sum()
+    mass = np.zeros(game.num_joint)
+    mass[flats] = weights
+    induced = JointDistribution(mass, game.action_counts)
+    return RrSolution(LpStatus.OPTIMAL, weights, induced, float(solution.objective_value))
 
 
 def lp_with_known_optimum(rng: np.random.Generator, num_vars: int, num_rows: int):

@@ -14,7 +14,6 @@ from cceq.equilibrium import (
     solve_full_ccce,
     solve_nominal_ce,
     solve_reduced_rank,
-    solve_reduced_rank_lp,
 )
 from cceq.game import (
     BudgetExceededError,
@@ -26,7 +25,14 @@ from cceq.game import (
 from cceq.lp import LpSolution, LpStatus, SolverFailureError
 from cceq.uncertainty import UncertaintyModel, substream
 from cceq.vq import build_game, generate_instance
-from oracles import eq_feasible, eq_margins, enumerate_lp_vertices, random_game
+from oracles import (
+    dense_constraints,
+    enumerate_lp_vertices,
+    eq_feasible,
+    eq_margins,
+    random_game,
+    solve_reduced_rank_lp,
+)
 
 UNC0 = UncertaintyModel.zero(2)
 UNC1 = UncertaintyModel.gaussian(1.0, 2)
@@ -43,9 +49,22 @@ def canonical_ids(game):
             for rec in range(m) for alt in range(m) if alt != rec]
 
 
+def incentive_rows(game, quantiles):
+    """The incentive rows of assemble_ce_constraints's columns, densified;
+    checks the simplex row and the ascending row order within each column."""
+    index, value = assemble_ce_constraints(game, quantiles)
+    width = sum(m - 1 for m in game.action_counts) + 1
+    assert index.shape == value.shape == (game.num_joint, width)
+    assert np.all(np.diff(index, axis=1) > 0)
+    dense = np.zeros((int(index.max()) + 1, game.num_joint))
+    dense[index, np.arange(game.num_joint)[:, None]] = value
+    assert np.array_equal(dense[-1], np.ones(game.num_joint))
+    return dense[:-1]
+
+
 def test_assemble_row_order_canonical():
     game = FiniteGame((2, 3), np.arange(12.0).reshape(2, 6) ** 2)
-    rows = assemble_ce_constraints(game, np.zeros(2))
+    rows = incentive_rows(game, np.zeros(2))
     assert rows.shape == (2 * 1 + 3 * 2, 6)
     costs = game.costs.reshape(2, 2, 3)
     # first row: agent 0 told 0, tempted by 1; last: agent 1 told 2, tempted by 1
@@ -56,16 +75,16 @@ def test_assemble_row_order_canonical():
 
 
 def test_assemble_nominal_intersection_game(intersection_game, half_device):
-    rows = assemble_ce_constraints(intersection_game, np.zeros(2))
+    rows = incentive_rows(intersection_game, np.zeros(2))
     assert rows.shape == (4, 4)
     # the half/half device satisfies every nominal row
     assert float((rows @ half_device.mass).max()) <= 1e-12
 
 
 def test_assemble_tightened_intersection_game(intersection_game, half_device):
-    rows = assemble_ce_constraints(intersection_game, UNC1.quantiles(0.9))
+    rows = incentive_rows(intersection_game, UNC1.quantiles(0.9))
     assert float((rows @ half_device.mass).max()) <= 0.0  # margins -2, -4 vs 1.2816
-    rows99 = assemble_ce_constraints(intersection_game, UNC1.quantiles(0.99))
+    rows99 = incentive_rows(intersection_game, UNC1.quantiles(0.99))
     assert float((rows99 @ half_device.mass).max()) > 0.0  # -2 + 2.3263 > 0
 
 
@@ -123,8 +142,7 @@ def test_full_solve_matches_vertex_oracle_on_random_games(intersection_game):
         game = FiniteGame(counts, rng.integers(-5, 6, size=(2, 4)).astype(float))
         sys_cost = game.costs.sum(axis=0)
         program = ccce_program(game, np.zeros(2), sys_cost)
-        vertices = enumerate_lp_vertices(program.ineq_matrix, program.ineq_rhs,
-                                         program.eq_matrix, program.eq_rhs, 4)
+        vertices = enumerate_lp_vertices(*dense_constraints(program), 4)
         oracle = min(float(program.objective @ v) for v in vertices)
         result = solve_nominal_ce(game, sys_cost)
         assert result.status == LpStatus.OPTIMAL
@@ -163,7 +181,7 @@ def test_enumerate_matches_scalar_check():
         game = random_game(rng)
         n = game.num_agents
         sigma = float(rng.choice([0.0, 0.5, 1.0]))
-        alpha = float(rng.choice([0.5, 0.9, 0.99]))
+        alpha = float(rng.choice([0.2, 0.5, 0.9, 0.99]))  # 0.2: negative tightenings
         unc = UncertaintyModel.gaussian(sigma, n)
         found = set(enumerate_cc_pne(game, unc, alpha).profiles)
         for coords in itertools.product(*[range(m) for m in game.action_counts]):
@@ -371,7 +389,7 @@ def test_assemble_rows_consistent_with_check_margins():
         unc = UncertaintyModel.gaussian(float(rng.uniform(0, 2)), game.num_agents)
         alpha = float(rng.uniform(0.1, 0.95))
         quantiles = unc.quantiles(alpha)
-        rows = assemble_ce_constraints(game, quantiles)
+        rows = incentive_rows(game, quantiles)
         mass = rng.dirichlet(np.ones(game.num_joint))
         z = JointDistribution(mass, game.action_counts)
         margins = eq_margins(game, mass, [d.sigma for d in unc.per_agent], alpha)
@@ -390,10 +408,13 @@ def test_assemble_rows_consistent_with_check_margins():
                     margins[(i, rec, alt)], abs=1e-9)
 
 
-@pytest.mark.parametrize("master_seed, num_flights, trial", [(0, 11, 2), (2, 9, 18)])
+@pytest.mark.parametrize("master_seed, num_flights, trial",
+                         [(0, 11, 2), (2, 9, 18), (0, 14, 9)])
 def test_full_solve_result_passes_the_check_on_airport_games(master_seed, num_flights, trial):
-    # the simplex's tie-breaking perturbation left sub-1e-9 "ghost" masses on
-    # these games' OPTIMAL results, with worst normalized margins near 95
+    # OPTIMAL results on the first two games can carry sub-1e-9 "ghost"
+    # masses with worst normalized margins near 95 unless purged; the third,
+    # 65308 incentive rows by 16384 joint actions, is the default grid's
+    # largest selection LP (4.3M nonzeros, about 550 MB to solve)
     instance = generate_instance(
         num_flights, 5, seed=np.random.SeedSequence((master_seed, 0, trial, num_flights)))
     game, sys_cost = build_game(instance)

@@ -1,10 +1,15 @@
 import csv
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cceq
 from cceq.equilibrium import solve_full_ccce
 from cceq.game import JointDistribution, flat_index
 from cceq.harness import (
@@ -125,14 +130,42 @@ def test_timeout_status():
 
 
 def test_timeout_stops_the_solve():
-    # this selection LP pivots for about 15 s; the budget stops it at the
-    # first pivot past 0.2 s, after about 0.5 s of setup
-    config = ExperimentConfig(num_trials=2, flight_counts=(12,), sigma=1.0, num_airlines=5,
+    # the default grid's largest selection LP (65308 x 16384) needs about
+    # 0.8 s; the deadline is checked after assembly and the remainder of the
+    # 0.2 s budget becomes the solver's time limit
+    config = ExperimentConfig(num_trials=10, flight_counts=(14,), sigma=1.0, num_airlines=5,
                               master_seed=0, time_budget_per_solve=0.2)
     start = time.perf_counter()
-    record = run_trial(config, 1, "full-ccce", 12)
+    record = run_trial(config, 9, "full-ccce", 14)
     assert record.status == "timeout"
     assert time.perf_counter() - start < 3.0
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout's cceq."""
+    src = str(Path(cceq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    out = run_fresh("import sys, cceq; print('scipy' in sys.modules)")
+    assert out.split() == ["False"]
+
+
+def test_first_full_ccce_solve_excludes_the_solver_import():
+    out = run_fresh(
+        "from cceq.harness import ExperimentConfig, run_trial\n"
+        "record = run_trial(ExperimentConfig(sigma=1.0), 0, 'full-ccce', 6)\n"
+        "print(record.status, record.solve_seconds)\n"
+    )
+    status, seconds = out.split()
+    assert status == "ok"
+    assert float(seconds) < 0.1
 
 
 def test_memory_error_becomes_solver_failure(tmp_path, monkeypatch):

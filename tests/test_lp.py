@@ -7,30 +7,33 @@ from cceq.lp import (
     LinearProgram,
     LpStatus,
     SolverFailureError,
-    format_lp,
     solve,
 )
-from oracles import enumerate_lp_vertices, lp_with_known_optimum
+from oracles import dense_constraints, enumerate_lp_vertices, lp_with_known_optimum
 
 
 def scipy_solve(lp: LinearProgram):
+    # the public linprog entry point, so a scipy release that changes the
+    # private HiGHS bindings the package calls shows up as a disagreement
+    a_ub, b_ub, a_eq, b_eq = dense_constraints(lp)
     bounds = [(lb, None) for lb in lp.lower_bounds]
     return scipy.optimize.linprog(
         lp.objective,
-        A_ub=lp.ineq_matrix if lp.ineq_matrix.size else None,
-        b_ub=lp.ineq_rhs if lp.ineq_rhs.size else None,
-        A_eq=lp.eq_matrix if lp.eq_matrix.size else None,
-        b_eq=lp.eq_rhs if lp.eq_rhs.size else None,
+        A_ub=a_ub if a_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=a_eq if a_eq.size else None,
+        b_eq=b_eq if b_eq.size else None,
         bounds=bounds,
         method="highs",
     )
 
 
 def replay(lp: LinearProgram, values: np.ndarray):
-    if lp.ineq_matrix.size:
-        assert float((lp.ineq_matrix @ values - lp.ineq_rhs).max()) <= 1e-7
-    if lp.eq_matrix.size:
-        assert float(np.abs(lp.eq_matrix @ values - lp.eq_rhs).max()) <= 1e-7
+    a_ub, b_ub, a_eq, b_eq = dense_constraints(lp)
+    if a_ub.size:
+        assert float((a_ub @ values - b_ub).max()) <= 1e-7
+    if a_eq.size:
+        assert float(np.abs(a_eq @ values - b_eq).max()) <= 1e-7
     assert float((lp.lower_bounds - values).max()) <= 1e-9
 
 
@@ -81,9 +84,7 @@ def test_geq_constraints_via_negation():
 
 def test_intersection_game_ce_polytope_against_vertex_oracle(intersection_game, intersection_sys_cost):
     program = ccce_program(intersection_game, np.zeros(2), intersection_sys_cost)
-    vertices = enumerate_lp_vertices(
-        program.ineq_matrix, program.ineq_rhs, program.eq_matrix, program.eq_rhs, 4
-    )
+    vertices = enumerate_lp_vertices(*dense_constraints(program), 4)
     assert vertices, "CE polytope should not be empty"
     oracle_opt = min(float(program.objective @ v) for v in vertices)
     assert oracle_opt == pytest.approx(0.0, abs=1e-9)
@@ -175,15 +176,14 @@ def test_validation_errors():
         LinearProgram.from_rows([1.0], ineq=[([1.0, 2.0], 1.0)])
     with pytest.raises(ValueError):
         LinearProgram.from_rows([1.0], lower_bounds=[0.0, 0.0])
-
-
-def test_format_lp_dump():
-    lp = LinearProgram.from_rows([1.0, 2.0], ineq=[([1.0, 0.0], 3.0)],
-                                 eq=[([1.0, 1.0], 1.0)])
-    text = format_lp(lp)
-    assert "minimize" in text
-    assert "<= 3" in text
-    assert "== 1" in text
+    # column-wise form: start must cover every column, index every row
+    good = dict(objective=[1.0, 1.0], start=[0, 1, 2], index=[0, 0], value=[1.0, 1.0],
+                row_lower=[-np.inf], row_upper=[1.0], lower_bounds=[0.0, 0.0])
+    LinearProgram(**good)
+    for bad in (dict(start=[0, 2]), dict(start=[0, 2, 1]), dict(index=[0, 1]),
+                dict(value=[1.0]), dict(row_lower=[2.0]), dict(value=[1.0, np.nan])):
+        with pytest.raises(ValueError):
+            LinearProgram(**{**good, **bad})
 
 
 def test_vq_selection_programs_match_scipy():
