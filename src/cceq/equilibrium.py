@@ -55,15 +55,22 @@ FEASIBILITY_TOL = 1e-7
 JOINT_SPACE_CAP = 2 ** 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CcPneSet:
-    """CC-PNE profiles found at a given confidence level, ascending flat order."""
+    """CC-PNE profiles found at a given confidence level, kept as ascending
+    flat indices into the joint action space."""
 
-    profiles: tuple[tuple[int, ...], ...]
+    flats: np.ndarray
+    action_counts: tuple[int, ...]
     alpha_used: float
 
     def __len__(self) -> int:
-        return len(self.profiles)
+        return len(self.flats)
+
+    @property
+    def profiles(self) -> tuple[tuple[int, ...], ...]:
+        """The profiles as coordinate tuples, built on each access."""
+        return tuple(unflatten(int(f), self.action_counts) for f in self.flats)
 
 
 @dataclass(frozen=True)
@@ -306,8 +313,7 @@ def enumerate_cc_pne(
     flats = np.nonzero(ok)[0]
     if limit is not None:
         flats = flats[: int(limit)]
-    profiles = tuple(unflatten(int(f), game.action_counts) for f in flats)
-    return CcPneSet(profiles=profiles, alpha_used=float(alpha))
+    return CcPneSet(flats, game.action_counts, float(alpha))
 
 
 def solve_reduced_rank(game: FiniteGame, pne_set: CcPneSet, sys_cost) -> RrSolution:
@@ -318,14 +324,12 @@ def solve_reduced_rank(game: FiniteGame, pne_set: CcPneSet, sys_cost) -> RrSolut
     """
     if len(pne_set) == 0:
         return RrSolution(LpStatus.INFEASIBLE)
-    sys_cost = np.asarray(sys_cost, dtype=float)
-    flats = [flat_index(p, game.action_counts) for p in pne_set.profiles]
-    values = sys_cost[flats]
+    values = np.asarray(sys_cost, dtype=float)[pne_set.flats]
     best = int(np.argmin(values))  # first minimum: lowest-index tie rule
-    weights = np.zeros(len(flats))
+    weights = np.zeros(len(values))
     weights[best] = 1.0
     mass = np.zeros(game.num_joint)
-    mass[flats] = weights
+    mass[pne_set.flats[best]] = 1.0
     induced = JointDistribution(mass, game.action_counts)
     return RrSolution(LpStatus.OPTIMAL, weights, induced, float(values[best]))
 

@@ -119,10 +119,6 @@ class FiniteGame:
     def num_joint(self) -> int:
         return self.costs.shape[1]
 
-    def cost(self, agent: int, coords) -> float:
-        """Cost of one agent at a joint action given as coordinates."""
-        return float(self.costs[agent, flat_index(coords, self.action_counts)])
-
     def cost_grid(self, agent: int) -> np.ndarray:
         """Agent's cost table reshaped to the action-counts grid (read-only view)."""
         return self.costs[agent].reshape(self.action_counts)

@@ -10,18 +10,18 @@ from its recommendation under the sampled cost perturbations.
 Pairing and reproducibility: the instance of trial t depends only on
 (master_seed, t, flight count), never on the method, and the per-agent
 perturbation draws are likewise method-independent, so methods face identical
-conditions within a trial. Two runs with the same config produce identical
-CSVs except for the solve_seconds column.
+conditions within a trial. A batch generates and lowers each trial's instance
+once and runs every method on that one game. Two runs with the same config
+produce identical CSVs except for the solve_seconds column.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
+import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -50,9 +50,9 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "METHODS",
-    "THREADS_ENV_VAR",
     "TrialRecord",
     "format_summary",
+    "lower_trial",
     "run_experiment",
     "run_trial",
     "simulate_deviation",
@@ -75,7 +75,7 @@ CSV_COLUMNS = (
     "solve_seconds", "delay_cost", "deviated", "rr_size_d",
 )
 
-# Number of worker threads for trial execution; 1 (serial) if unset.
+# No longer read; kept because perfbench/worker.py still pops it from the environment.
 THREADS_ENV_VAR = "CCEQ_THREADS"
 
 # Substream purposes, keyed into the seed path after the master seed.
@@ -114,6 +114,17 @@ class ExperimentConfig:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
         if self.num_airlines < 1:
             raise ValueError("num_airlines must be at least 1")
+        if not self.flight_counts or min(self.flight_counts) < self.num_airlines:
+            raise ValueError(f"flight counts must be nonempty and each at least "
+                             f"num_airlines={self.num_airlines}, got {self.flight_counts}")
+        if isinstance(self.sigma, (list, tuple)):
+            self.sigma = tuple(float(s) for s in self.sigma)
+            if len(self.sigma) != self.num_airlines:
+                raise ValueError(f"sigma needs one entry per airline ({self.num_airlines}), "
+                                 f"got {len(self.sigma)}")
+        sigmas = self.sigma if isinstance(self.sigma, tuple) else (float(self.sigma),)
+        if not all(math.isfinite(s) and s >= 0.0 for s in sigmas):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.time_budget_per_solve <= 0:
@@ -138,8 +149,6 @@ class ExperimentConfig:
                 kwargs[name] = doc.pop(name)
         if doc:
             raise ValueError(f"unknown config keys: {sorted(doc)}")
-        if "sigma" in kwargs and isinstance(kwargs["sigma"], (list, tuple)):
-            kwargs["sigma"] = tuple(float(s) for s in kwargs["sigma"])
         return cls(**kwargs)
 
     @classmethod
@@ -271,18 +280,11 @@ def _solve_for_method(method, config, instance, game, sys_cost, unc, deadline):
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_trial(config: ExperimentConfig, trial_index: int, method: str,
-              num_flights: int) -> TrialRecord:
-    """Run one benchmark cell.
+def lower_trial(config: ExperimentConfig, trial_index: int, num_flights: int):
+    """Pipeline steps 1-2: generate the trial's instance and lower it to a game.
 
-    Pipeline: generate the trial's instance, build its game, compute the
-    method's recommendation distribution (this step alone is timed and held
-    to the per-solve budget: the selection LP solve checks it after assembly
-    and hands the remainder to the solver as its time limit), sample a
-    recommendation, simulate deviations under per-agent perturbations, and
-    price the resulting joint action with the coordinator's cost table.
-    Per-trial failures, running out of memory included, become statuses,
-    never exceptions.
+    Returns ``(instance, game, sys_cost)``; ``game`` and ``sys_cost`` are None
+    when the joint action space exceeds the cap of ``build_game``.
     """
     instance = generate_instance(
         num_flights,
@@ -295,6 +297,28 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     try:
         game, sys_cost = build_game(instance)
     except BudgetExceededError:
+        return instance, None, None
+    return instance, game, sys_cost
+
+
+def run_trial(config: ExperimentConfig, trial_index: int, method: str,
+              num_flights: int, lowered=None) -> TrialRecord:
+    """Run one benchmark cell.
+
+    Pipeline: generate the trial's instance, build its game (both skipped
+    when ``lowered``, the result of :func:`lower_trial` for this trial, is
+    given), compute the method's recommendation distribution (this step
+    alone is timed and held to the per-solve budget: the selection LP solve
+    checks it after assembly and hands the remainder to the solver as its
+    time limit), sample a recommendation, simulate deviations under
+    per-agent perturbations, and price the resulting joint action with the
+    coordinator's cost table. Per-trial failures, running out of memory
+    included, become statuses, never exceptions.
+    """
+    if lowered is None:
+        lowered = lower_trial(config, trial_index, num_flights)
+    instance, game, sys_cost = lowered
+    if game is None:
         return TrialRecord(
             trial_index=trial_index, method=method, num_flights=num_flights,
             alpha=config.alpha, sigma=config.sigma,
@@ -419,38 +443,34 @@ def format_summary(summaries) -> str:
     return "\n".join(lines)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the full (flight count x method x trial) grid and stream a CSV.
+def _run_methods(config: ExperimentConfig, trial_index: int,
+                 num_flights: int) -> list[TrialRecord]:
+    """Every configured method on one lowered trial; the game dies on return."""
+    lowered = lower_trial(config, trial_index, num_flights)
+    return [run_trial(config, trial_index, method, num_flights, lowered)
+            for method in config.methods]
 
-    Rows are written and flushed one at a time in deterministic order (flight
-    counts, then methods, then trials). Set the environment variable named by
-    THREADS_ENV_VAR to parallelize trials within a cell; results are still
-    written in trial order.
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run the full (flight count x method x trial) grid and write a CSV.
+
+    Each (flight count, trial) instance is generated and lowered once, and
+    every method runs on that game. Rows are buffered per flight count and
+    then written, and flushed, in deterministic order: flight counts, then
+    methods, then trials.
     """
-    n_threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
     csv_path = Path(config.out_path)
     records: list[TrialRecord] = []
     with open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         handle.flush()
-
-        def emit(record: TrialRecord) -> None:
-            writer.writerow(record.to_csv_row())
-            handle.flush()
-            records.append(record)
-
         for num_flights in config.flight_counts:
-            for method in config.methods:
-                if n_threads > 1:
-                    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                        futures = [
-                            pool.submit(run_trial, config, t, method, num_flights)
-                            for t in range(config.num_trials)
-                        ]
-                        for future in futures:
-                            emit(future.result())
-                else:
-                    for t in range(config.num_trials):
-                        emit(run_trial(config, t, method, num_flights))
+            by_trial = [_run_methods(config, t, num_flights)
+                        for t in range(config.num_trials)]
+            for k in range(len(config.methods)):
+                for trial_records in by_trial:
+                    writer.writerow(trial_records[k].to_csv_row())
+                    records.append(trial_records[k])
+            handle.flush()
     return ExperimentResult(records, summarize(records), csv_path)

@@ -19,11 +19,9 @@ flights still share the congestion penalty.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -33,23 +31,10 @@ __all__ = [
     "AircraftClass",
     "DEFAULT_CLASS_WEIGHTS",
     "Flight",
-    "MAX_FLIGHTS_PER_AIRLINE",
     "VQInstance",
-    "action_space",
-    "airline_cost",
     "build_game",
-    "congestion_penalty",
     "fcfs_profile",
-    "flight_delay_cost",
     "generate_instance",
-    "instance_from_dict",
-    "instance_to_dict",
-    "load_instance",
-    "pushback_counts",
-    "queue_delay",
-    "released_flights",
-    "save_instance",
-    "system_cost",
     "truncated_lateness",
 ]
 
@@ -74,9 +59,6 @@ DEFAULT_EPOCH_MINUTES = 4.0
 DEFAULT_CONGESTION_THRESHOLD = 4
 DEFAULT_LATENESS_THRESHOLD = 10.0
 DEFAULT_LATENESS_SCALE = 10.0
-
-# Subset action spaces above this fleet size are refused (2^m actions).
-MAX_FLIGHTS_PER_AIRLINE = 20
 
 
 @dataclass(frozen=True)
@@ -229,104 +211,10 @@ def generate_instance(
     )
 
 
-def action_space(instance: VQInstance, airline: int, *, max_flights: int = MAX_FLIGHTS_PER_AIRLINE):
-    """All subsets of the airline's fleet, in binary counting order.
-
-    Bit j of the action index selects the airline's j-th flight in id order,
-    so action 0 is the empty release and the last action releases everything.
-    """
-    owned = instance.airlines[airline]
-    if len(owned) > max_flights:
-        raise BudgetExceededError(
-            f"airline {airline} owns {len(owned)} flights; cap is {max_flights}"
-        )
-    return [
-        tuple(fid for bit, fid in enumerate(owned) if action >> bit & 1)
-        for action in range(2 ** len(owned))
-    ]
-
-
-def _validate_joint_action(instance: VQInstance, joint_action) -> tuple[int, ...]:
-    coords = tuple(int(a) for a in joint_action)
-    counts = instance.action_counts
-    if len(coords) != len(counts):
-        raise ValueError(f"joint action has {len(coords)} parts for {len(counts)} airlines")
-    for a, m in zip(coords, counts):
-        if not 0 <= a < m:
-            raise ValueError(f"action index {a} out of range [0, {m})")
-    return coords
-
-
-def released_flights(instance: VQInstance, joint_action) -> tuple[int, ...]:
-    """Ids of all flights released under the joint action, ascending."""
-    coords = _validate_joint_action(instance, joint_action)
-    out = []
-    for action, owned in zip(coords, instance.airlines):
-        out.extend(fid for bit, fid in enumerate(owned) if action >> bit & 1)
-    return tuple(sorted(out))
-
-
-def pushback_counts(instance: VQInstance, joint_action) -> np.ndarray:
-    """Number of released flights per runway."""
-    counts = np.zeros(instance.num_runways, dtype=int)
-    for fid in released_flights(instance, joint_action):
-        counts[instance.flight_by_id[fid].runway] += 1
-    return counts
-
-
-def congestion_penalty(instance: VQInstance, joint_action) -> float:
-    """Quadratic penalty on releases beyond the congestion threshold."""
-    total = len(released_flights(instance, joint_action))
-    return float(max(0, total - instance.congestion_threshold) ** 2)
-
-
-def queue_delay(instance: VQInstance, joint_action, flight_id: int) -> float:
-    """Queue delay in minutes for a flight released under the joint action."""
-    if flight_id not in set(released_flights(instance, joint_action)):
-        raise ValueError(f"flight {flight_id} is not released under this joint action")
-    flight = instance.flight_by_id[flight_id]
-    counts = pushback_counts(instance, joint_action)
-    r = flight.runway
-    queue = instance.initial_queues[r] + int(counts[r])
-    return queue / instance.service_rates[r] * instance.epoch_minutes
-
-
 def _lateness_term(instance: VQInstance, lateness: float) -> float:
     if lateness > instance.lateness_threshold:
         return lateness ** 2
     return lateness
-
-
-def flight_delay_cost(instance: VQInstance, joint_action, flight_id: int) -> float:
-    """Per-flight delay cost: lateness term + queue delay + shared congestion.
-
-    A held flight waits out the epoch instead: its delay term is one epoch of
-    gate holding and its lateness term is evaluated one epoch later.
-    """
-    flight = instance.flight_by_id[flight_id]
-    if flight_id in set(released_flights(instance, joint_action)):
-        delay = queue_delay(instance, joint_action, flight_id)
-        lateness = _lateness_term(instance, flight.lateness)
-    else:
-        delay = instance.epoch_minutes
-        lateness = _lateness_term(instance, flight.lateness + instance.epoch_minutes)
-    return lateness + delay + congestion_penalty(instance, joint_action)
-
-
-def airline_cost(instance: VQInstance, joint_action, airline: int) -> float:
-    """Class-weighted delay cost over the airline's whole fleet."""
-    total = 0.0
-    for fid in instance.airlines[airline]:
-        flight = instance.flight_by_id[fid]
-        total += instance.class_weights[flight.aircraft_class] * flight_delay_cost(
-            instance, joint_action, fid
-        )
-    return total
-
-
-def system_cost(instance: VQInstance, joint_action) -> float:
-    """Unweighted total delay cost over all flights."""
-    return sum(flight_delay_cost(instance, joint_action, f.id) for f in instance.flights)
 
 
 def fcfs_profile(instance: VQInstance) -> tuple[int, ...]:
@@ -377,7 +265,7 @@ def build_game(instance: VQInstance, *, joint_space_cap: int = 2 ** 24):
 
     agent_costs = [np.zeros(shape) for _ in range(n)]
     sys_costs = np.zeros(shape)
-    for flight in instance.flights:  # ascending id, matching the scalar path
+    for flight in instance.flights:  # ascending id: a flight-by-flight total's order
         i, bit = instance.owner_of[flight.id]
         released = along_axis(((np.arange(counts[i]) >> bit) & 1).astype(bool), i)
         lat_released = _lateness_term(instance, flight.lateness)
@@ -393,64 +281,3 @@ def build_game(instance: VQInstance, *, joint_space_cap: int = 2 ** 24):
     )
     return game, sys_costs.reshape(-1)
 
-
-# --- JSON serialization -----------------------------------------------------
-#
-# Mirrors the scenario config plus the generated flights, so an instance can
-# be replayed exactly:
-#   {"runways": {"count": R, "mu": [...], "q0": [...]},
-#    "epoch_minutes": ..., "thresholds": {"congestion": ..., "lateness": ...},
-#    "weights": {"heavy": ..., "medium": ..., "small": ...},
-#    "flights": [{"id", "runway", "class", "lateness"}, ...],
-#    "airlines": [[flight ids] per airline]}
-
-
-def instance_to_dict(instance: VQInstance) -> dict:
-    return {
-        "runways": {
-            "count": instance.num_runways,
-            "mu": list(instance.service_rates),
-            "q0": list(instance.initial_queues),
-        },
-        "epoch_minutes": instance.epoch_minutes,
-        "thresholds": {
-            "congestion": instance.congestion_threshold,
-            "lateness": instance.lateness_threshold,
-        },
-        "weights": {k.value: v for k, v in instance.class_weights.items()},
-        "flights": [
-            {"id": f.id, "runway": f.runway, "class": f.aircraft_class.value,
-             "lateness": f.lateness}
-            for f in instance.flights
-        ],
-        "airlines": [list(owned) for owned in instance.airlines],
-    }
-
-
-def instance_from_dict(doc: dict) -> VQInstance:
-    runways = doc["runways"]
-    if int(runways["count"]) != len(runways["mu"]):
-        raise ValueError("'runways.count' disagrees with the length of 'runways.mu'")
-    thresholds = doc.get("thresholds", {})
-    return VQInstance(
-        service_rates=tuple(runways["mu"]),
-        initial_queues=tuple(runways["q0"]),
-        flights=tuple(
-            Flight(int(f["id"]), int(f["runway"]), AircraftClass(f["class"]),
-                   float(f["lateness"]))
-            for f in doc["flights"]
-        ),
-        airlines=tuple(tuple(owned) for owned in doc["airlines"]),
-        epoch_minutes=float(doc.get("epoch_minutes", DEFAULT_EPOCH_MINUTES)),
-        congestion_threshold=int(thresholds.get("congestion", DEFAULT_CONGESTION_THRESHOLD)),
-        lateness_threshold=float(thresholds.get("lateness", DEFAULT_LATENESS_THRESHOLD)),
-        class_weights=doc.get("weights"),
-    )
-
-
-def save_instance(instance: VQInstance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(instance), indent=2) + "\n")
-
-
-def load_instance(path) -> VQInstance:
-    return instance_from_dict(json.loads(Path(path).read_text()))

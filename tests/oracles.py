@@ -4,8 +4,9 @@ Everything here is written from the underlying math, separately from the
 package implementation: an erf-series normal CDF with bisection inversion, a
 loop-based chance-constrained CE feasibility checker (quantiles via scipy), a
 brute-force LP vertex enumerator, constructors for LPs with known optima, a
-dense view of the package's column-wise LPs, and the LP form of the
-reduced-rank program.
+dense view of the package's column-wise LPs, the LP form of the
+reduced-rank program, and the airport scenario's cost model evaluated one
+joint action and one flight at a time (the reference for ``build_game``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.stats import norm
 
 from cceq import lp as lpmod
 from cceq.equilibrium import RrSolution
-from cceq.game import FiniteGame, JointDistribution, flat_index
+from cceq.game import BudgetExceededError, FiniteGame, JointDistribution, flat_index
 from cceq.lp import LinearProgram, LpStatus
 
 
@@ -189,3 +190,108 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head, *tail)
+
+
+# --- airport scenario, scalar cost model ------------------------------------
+
+# Subset action spaces above this fleet size are refused (2^m actions).
+MAX_FLIGHTS_PER_AIRLINE = 20
+
+
+def action_space(instance, airline: int, *, max_flights: int = MAX_FLIGHTS_PER_AIRLINE):
+    """All subsets of the airline's fleet, in binary counting order.
+
+    Bit j of the action index selects the airline's j-th flight in id order,
+    so action 0 is the empty release and the last action releases everything.
+    """
+    owned = instance.airlines[airline]
+    if len(owned) > max_flights:
+        raise BudgetExceededError(
+            f"airline {airline} owns {len(owned)} flights; cap is {max_flights}"
+        )
+    return [
+        tuple(fid for bit, fid in enumerate(owned) if action >> bit & 1)
+        for action in range(2 ** len(owned))
+    ]
+
+
+def _validate_joint_action(instance, joint_action) -> tuple[int, ...]:
+    coords = tuple(int(a) for a in joint_action)
+    counts = instance.action_counts
+    if len(coords) != len(counts):
+        raise ValueError(f"joint action has {len(coords)} parts for {len(counts)} airlines")
+    for a, m in zip(coords, counts):
+        if not 0 <= a < m:
+            raise ValueError(f"action index {a} out of range [0, {m})")
+    return coords
+
+
+def released_flights(instance, joint_action) -> tuple[int, ...]:
+    """Ids of all flights released under the joint action, ascending."""
+    coords = _validate_joint_action(instance, joint_action)
+    out = []
+    for action, owned in zip(coords, instance.airlines):
+        out.extend(fid for bit, fid in enumerate(owned) if action >> bit & 1)
+    return tuple(sorted(out))
+
+
+def pushback_counts(instance, joint_action) -> np.ndarray:
+    """Number of released flights per runway."""
+    counts = np.zeros(instance.num_runways, dtype=int)
+    for fid in released_flights(instance, joint_action):
+        counts[instance.flight_by_id[fid].runway] += 1
+    return counts
+
+
+def congestion_penalty(instance, joint_action) -> float:
+    """Quadratic penalty on releases beyond the congestion threshold."""
+    total = len(released_flights(instance, joint_action))
+    return float(max(0, total - instance.congestion_threshold) ** 2)
+
+
+def queue_delay(instance, joint_action, flight_id: int) -> float:
+    """Queue delay in minutes for a flight released under the joint action."""
+    if flight_id not in set(released_flights(instance, joint_action)):
+        raise ValueError(f"flight {flight_id} is not released under this joint action")
+    flight = instance.flight_by_id[flight_id]
+    counts = pushback_counts(instance, joint_action)
+    r = flight.runway
+    queue = instance.initial_queues[r] + int(counts[r])
+    return queue / instance.service_rates[r] * instance.epoch_minutes
+
+
+def _lateness_term(instance, lateness: float) -> float:
+    """Linear up to the lateness threshold, quadratic beyond it."""
+    return lateness * lateness if lateness > instance.lateness_threshold else lateness
+
+
+def flight_delay_cost(instance, joint_action, flight_id: int) -> float:
+    """Per-flight delay cost: lateness term + queue delay + shared congestion.
+
+    A held flight waits out the epoch instead: its delay term is one epoch of
+    gate holding and its lateness term is evaluated one epoch later.
+    """
+    flight = instance.flight_by_id[flight_id]
+    if flight_id in set(released_flights(instance, joint_action)):
+        delay = queue_delay(instance, joint_action, flight_id)
+        lateness = _lateness_term(instance, flight.lateness)
+    else:
+        delay = instance.epoch_minutes
+        lateness = _lateness_term(instance, flight.lateness + instance.epoch_minutes)
+    return lateness + delay + congestion_penalty(instance, joint_action)
+
+
+def airline_cost(instance, joint_action, airline: int) -> float:
+    """Class-weighted delay cost over the airline's whole fleet."""
+    total = 0.0
+    for fid in instance.airlines[airline]:
+        flight = instance.flight_by_id[fid]
+        total += instance.class_weights[flight.aircraft_class] * flight_delay_cost(
+            instance, joint_action, fid
+        )
+    return total
+
+
+def system_cost(instance, joint_action) -> float:
+    """Unweighted total delay cost over all flights."""
+    return sum(flight_delay_cost(instance, joint_action, f.id) for f in instance.flights)

@@ -48,6 +48,19 @@ def test_run_bad_config_exits_2(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    ["--flights", "6,3", "--airlines", "5"],
+    ["--sigma", "1,2", "--airlines", "5"],
+    ["--sigma", "-1"],
+])
+def test_run_bad_flags_exit_2_before_writing(tmp_path, bad):
+    out = tmp_path / "results.csv"
+    rc = main(["run", "--methods", "fcfs", "--trials", "2", "--flights", "6",
+               "--out", str(out), *bad])
+    assert rc == 2
+    assert not out.exists()
+
+
 def test_run_missing_config_exits_1(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 

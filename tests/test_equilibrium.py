@@ -207,18 +207,18 @@ def test_rr_intersection_game_tie_rule(intersection_game, intersection_sys_cost)
 
 def test_rr_singleton_and_argmin():
     game = FiniteGame((3,), np.array([[5.0, 2.0, 7.0]]))
-    single = CcPneSet(profiles=((1,),), alpha_used=0.9)
+    single = CcPneSet(np.array([1]), (3,), 0.9)
     rr = solve_reduced_rank(game, single, np.array([5.0, 2.0, 7.0]))
     assert np.array_equal(rr.weights, [1.0])
     assert rr.objective == 2.0
-    full = CcPneSet(profiles=((0,), (1,), (2,)), alpha_used=0.9)
+    full = CcPneSet(np.array([0, 1, 2]), (3,), 0.9)
     rr = solve_reduced_rank(game, full, np.array([5.0, 2.0, 7.0]))
     assert np.array_equal(rr.weights, [0.0, 1.0, 0.0])
     assert rr.objective == 2.0
 
 
 def test_rr_empty_is_infeasible(intersection_game, intersection_sys_cost):
-    empty = CcPneSet(profiles=(), alpha_used=0.9)
+    empty = CcPneSet(np.array([], dtype=int), (2, 2), 0.9)
     assert solve_reduced_rank(intersection_game, empty, intersection_sys_cost).status == LpStatus.INFEASIBLE
     assert solve_reduced_rank_lp(intersection_game, empty, intersection_sys_cost).status == LpStatus.INFEASIBLE
 

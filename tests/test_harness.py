@@ -267,27 +267,43 @@ def test_summarize_counts_infeasible():
         assert summary.mean_delay is None and summary.deviation_rate is None
 
 
-def test_thread_env_var_preserves_csv(tmp_path, monkeypatch):
+def test_run_experiment_records_equal_separate_trials(tmp_path):
+    config = base_config(num_trials=3, flight_counts=(6, 7), sigma=1.5, methods=METHODS,
+                         out_path=str(tmp_path / "results.csv"))
+    batch = run_experiment(config).records
+    separate = [run_trial(config, t, m, f) for f in config.flight_counts
+                for m in config.methods for t in range(config.num_trials)]
+    assert [replace(r, solve_seconds=0.0) for r in batch] == \
+        [replace(r, solve_seconds=0.0) for r in separate]
+
+
+def test_run_experiment_builds_one_game_per_trial(tmp_path, monkeypatch):
     import cceq.harness as hmod
-    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    for out, threads in ((serial, "1"), (threaded, "3")):
-        monkeypatch.setenv(hmod.THREADS_ENV_VAR, threads)
-        config = base_config(num_trials=6, sigma=1.0, out_path=str(out))
-        run_experiment(config)
-    assert_same_modulo_timing(serial, threaded)
+    calls = []
+
+    def counted(instance, **kwargs):
+        calls.append(instance.num_flights)
+        return build_game(instance, **kwargs)
+
+    monkeypatch.setattr(hmod, "build_game", counted)
+    config = base_config(num_trials=3, flight_counts=(6, 7), methods=METHODS,
+                         out_path=str(tmp_path / "results.csv"))
+    result = run_experiment(config)
+    assert len(result.records) == 2 * 3 * len(METHODS)
+    assert calls == [6] * 3 + [7] * 3
 
 
-def assert_same_modulo_timing(path_a, path_b):
-    rows_a = list(csv.reader(path_a.open()))
-    rows_b = list(csv.reader(path_b.open()))
-    col = CSV_COLUMNS.index("solve_seconds")
-    assert len(rows_a) == len(rows_b)
-    for ra, rb in zip(rows_a, rows_b):
-        if ra != list(CSV_COLUMNS):
-            ra = list(ra)
-            rb = list(rb)
-            ra[col] = rb[col] = ""
-        assert ra == rb
+@pytest.mark.parametrize("overrides", [
+    dict(flight_counts=(6, 3), num_airlines=5),
+    dict(flight_counts=()),
+    dict(sigma=(1.0, 2.0), num_airlines=5),
+    dict(sigma=-1.0),
+    dict(sigma=float("nan")),
+    dict(sigma=(1.0, float("inf"), 1.0), num_airlines=3),
+])
+def test_config_rejects_bad_flights_and_sigma(overrides):
+    with pytest.raises(ValueError):
+        ExperimentConfig(**overrides)
 
 
 def test_oversized_joint_space_becomes_solver_failure():

@@ -6,22 +6,20 @@ from cceq.vq import (
     AircraftClass,
     Flight,
     VQInstance,
+    build_game,
+    fcfs_profile,
+    generate_instance,
+    truncated_lateness,
+)
+from oracles import (
     action_space,
     airline_cost,
-    build_game,
     congestion_penalty,
-    fcfs_profile,
     flight_delay_cost,
-    generate_instance,
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
     pushback_counts,
     queue_delay,
     released_flights,
-    save_instance,
     system_cost,
-    truncated_lateness,
 )
 
 
@@ -241,15 +239,3 @@ def test_instance_validation():
                    (Flight(0, 0, AircraftClass.SMALL, 1.0), Flight(1, 0, AircraftClass.SMALL, 1.0)),
                    ((0,), ()))
 
-
-def test_instance_json_roundtrip(tmp_path):
-    inst = generate_instance(7, 3, seed=123)
-    path = tmp_path / "instance.json"
-    save_instance(inst, path)
-    loaded = load_instance(path)
-    assert loaded == inst
-    doc = instance_to_dict(inst)
-    assert doc["runways"]["q0"] == [3, 4]
-    doc["runways"]["count"] = 3
-    with pytest.raises(ValueError):
-        instance_from_dict(doc)
