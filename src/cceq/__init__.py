@@ -17,12 +17,7 @@ from .game import (
     save_game,
     unflatten,
 )
-from .uncertainty import (
-    PerturbationDist,
-    UncertaintyModel,
-    standard_normal_quantile,
-    substream,
-)
+from .uncertainty import UncertaintyModel, substream
 from .lp import LinearProgram, LpSolution, LpStatus, SolverFailureError, solve
 from .equilibrium import (
     CcPneSet,

@@ -22,9 +22,9 @@ import numpy as np
 from . import lp as lpmod
 from .game import (
     MASS_TOL,
-    BudgetExceededError,
     FiniteGame,
     JointDistribution,
+    check_joint_space,
     flat_index,
     incentive_gains,
     unflatten,
@@ -36,7 +36,6 @@ __all__ = [
     "CcPneSet",
     "EquilibriumResult",
     "FEASIBILITY_TOL",
-    "JOINT_SPACE_CAP",
     "RrSolution",
     "assemble_ce_constraints",
     "ccce_program",
@@ -51,8 +50,6 @@ __all__ = [
 
 # Constraint replay tolerance, consistent with the LP module contract.
 FEASIBILITY_TOL = 1e-7
-# Hard cap on enumerable joint action spaces.
-JOINT_SPACE_CAP = 2 ** 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +91,6 @@ class RrSolution:
 
 def _quantiles(game: FiniteGame, unc: UncertaintyModel, alpha: float) -> np.ndarray:
     """Per-agent tightenings: each agent's perturbation alpha-quantile."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"confidence level must lie strictly in (0, 1), got {alpha!r}")
     if unc.num_agents != game.num_agents:
         raise ValueError(
             f"uncertainty model covers {unc.num_agents} agents, game has {game.num_agents}"
@@ -280,19 +274,15 @@ def enumerate_cc_pne(
     unc: UncertaintyModel,
     alpha: float,
     limit: int | None = None,
-    joint_space_cap: int = JOINT_SPACE_CAP,
 ) -> CcPneSet:
     """Exhaustively enumerate CC-PNE profiles, in ascending flat-index order.
 
     An empty set is a valid result. ``limit`` truncates to the first matches
-    in enumeration order; a joint space larger than ``joint_space_cap``
-    raises :class:`BudgetExceededError`.
+    in enumeration order; a joint space larger than
+    :data:`cceq.game.JOINT_SPACE_CAP` raises :class:`BudgetExceededError`.
     """
     q = _quantiles(game, unc, alpha)
-    if game.num_joint > joint_space_cap:
-        raise BudgetExceededError(
-            f"joint space of size {game.num_joint} exceeds the cap of {joint_space_cap}"
-        )
+    check_joint_space(game.action_counts)
     ok = np.ones(game.num_joint, dtype=bool)
     stride = game.num_joint
     for i, m in enumerate(game.action_counts):

@@ -19,8 +19,10 @@ import numpy as np
 __all__ = [
     "BudgetExceededError",
     "FiniteGame",
+    "JOINT_SPACE_CAP",
     "JointDistribution",
     "MASS_TOL",
+    "check_joint_space",
     "flat_index",
     "game_from_dict",
     "game_to_dict",
@@ -34,6 +36,8 @@ __all__ = [
 # Probability masses must sum to one within this tolerance; selection
 # results drop masses below it before they are certified.
 MASS_TOL = 1e-9
+# Largest joint action space that is lowered to a game or enumerated.
+JOINT_SPACE_CAP = 2 ** 24
 
 
 class BudgetExceededError(RuntimeError):
@@ -43,6 +47,13 @@ class BudgetExceededError(RuntimeError):
 def joint_space_size(action_counts) -> int:
     """Number of joint actions, the product of per-agent action counts."""
     return math.prod(int(m) for m in action_counts)
+
+
+def check_joint_space(action_counts) -> None:
+    """Raise :class:`BudgetExceededError` if the joint space exceeds JOINT_SPACE_CAP."""
+    size = joint_space_size(action_counts)
+    if size > JOINT_SPACE_CAP:
+        raise BudgetExceededError(f"joint space of size {size} exceeds the cap of {JOINT_SPACE_CAP}")
 
 
 def flat_index(coords, action_counts) -> int:
@@ -104,9 +115,9 @@ class FiniteGame:
         object.__setattr__(self, "costs", costs)
 
         if self.action_labels is not None:
-            labels = tuple(tuple(str(s) for s in per_agent) for per_agent in self.action_labels)
+            labels = tuple(tuple(str(s) for s in own) for own in self.action_labels)
             if len(labels) != len(counts) or any(
-                len(per_agent) != m for per_agent, m in zip(labels, counts)
+                len(own) != m for own, m in zip(labels, counts)
             ):
                 raise ValueError("action_labels must match action_counts")
             object.__setattr__(self, "action_labels", labels)
@@ -209,7 +220,7 @@ def game_to_dict(game: FiniteGame) -> dict:
         "costs": [list(map(float, row)) for row in game.costs],
     }
     if game.action_labels is not None:
-        doc["labels"] = [list(per_agent) for per_agent in game.action_labels]
+        doc["labels"] = [list(own) for own in game.action_labels]
     return doc
 
 
@@ -221,7 +232,7 @@ def game_from_dict(doc: dict) -> FiniteGame:
     return FiniteGame(
         action_counts=counts,
         costs=np.asarray(doc["costs"], dtype=float),
-        action_labels=tuple(tuple(per_agent) for per_agent in labels) if labels else None,
+        action_labels=tuple(tuple(own) for own in labels) if labels else None,
     )
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import statistics
 import time
 from dataclasses import dataclass, field, replace
@@ -84,7 +83,9 @@ _STREAM_ETA = 1
 _STREAM_RECOMMEND = 2
 _METHOD_IDS = {m: k for k, m in enumerate(METHODS)}
 
-_SCENARIO_KEYS = {"runways", "epoch_minutes", "thresholds", "weights", "lateness_scale"}
+# Scenario sections; the nested ones map to their keys.
+_SCENARIO_KEYS = {"runways": {"mu", "q0"}, "thresholds": {"congestion", "lateness"},
+                  "epoch_minutes": None, "weights": None, "lateness_scale": None}
 
 
 @dataclass
@@ -110,8 +111,6 @@ class ExperimentConfig:
         self.flight_counts = tuple(int(f) for f in self.flight_counts)
         if self.num_trials < 1:
             raise ValueError("num_trials must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
         if self.num_airlines < 1:
             raise ValueError("num_airlines must be at least 1")
         if not self.flight_counts or min(self.flight_counts) < self.num_airlines:
@@ -119,18 +118,22 @@ class ExperimentConfig:
                              f"num_airlines={self.num_airlines}, got {self.flight_counts}")
         if isinstance(self.sigma, (list, tuple)):
             self.sigma = tuple(float(s) for s in self.sigma)
-            if len(self.sigma) != self.num_airlines:
-                raise ValueError(f"sigma needs one entry per airline ({self.num_airlines}), "
-                                 f"got {len(self.sigma)}")
-        sigmas = self.sigma if isinstance(self.sigma, tuple) else (float(self.sigma),)
-        if not all(math.isfinite(s) and s >= 0.0 for s in sigmas):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        UncertaintyModel.gaussian(self.sigma, self.num_airlines).quantiles(self.alpha)
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.time_budget_per_solve <= 0:
             raise ValueError("time_budget_per_solve must be positive")
-        if not isinstance(self.scenario, dict) or set(self.scenario) - _SCENARIO_KEYS:
+        if not isinstance(self.scenario, dict) or set(self.scenario) - set(_SCENARIO_KEYS):
             raise ValueError(f"scenario keys must be a subset of {sorted(_SCENARIO_KEYS)}")
+        for name, keys in _SCENARIO_KEYS.items():
+            section = self.scenario.get(name, {})
+            if keys and (not isinstance(section, dict) or set(section) - keys):
+                raise ValueError(f"scenario.{name} keys must be a subset of {sorted(keys)}")
+        try:  # one probe instance, so that VQInstance checks every scenario value
+            generate_instance(self.num_airlines, self.num_airlines, seed=0,
+                              **self.scenario_kwargs())
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"invalid scenario: {exc!r}") from exc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -213,32 +216,21 @@ class TrialRecord:
         ]
 
 
-def simulate_deviation(
-    game: FiniteGame,
-    z: JointDistribution,
-    recommendation,
-    unc: UncertaintyModel,
-    rng: np.random.Generator | None = None,
-    etas=None,
-):
+def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, etas):
     """Simulate simultaneous post-recommendation deviations.
 
-    One perturbation eta_i is drawn per agent (shared across all of that
-    agent's comparisons); each agent computes, for every alternative, the
-    conditional expected deviation gain given its recommended action plus its
-    eta. If the best margin is positive the agent best-responds to it (ties
-    to the lowest action index), otherwise it follows the recommendation.
-    Agents decide simultaneously against z, not against each other's realized
-    switches. ``etas`` overrides sampling, for tests and for harness-managed
-    per-agent substreams; the recommendation must be in the support of z.
+    ``etas`` holds one perturbation draw per agent, shared across all of that
+    agent's comparisons (the harness draws them from per-agent substreams).
+    Each agent computes, for every alternative, the conditional expected
+    deviation gain given its recommended action plus its eta. If the best
+    margin is positive the agent best-responds to it (ties to the lowest
+    action index), otherwise it follows the recommendation. Agents decide
+    simultaneously against z, not against each other's realized switches.
+    The recommendation must be in the support of z.
 
     Returns ``(final_action, deviated)``.
     """
     rec = tuple(int(c) for c in recommendation)
-    if etas is None:
-        if rng is None:
-            raise ValueError("provide either rng or etas")
-        etas = [unc.sample_eta(i, rng) for i in range(game.num_agents)]
     etas = [float(e) for e in etas]
     if len(etas) != game.num_agents:
         raise ValueError(f"expected {game.num_agents} etas, got {len(etas)}")
@@ -363,7 +355,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
                                     trial_index, num_flights, i))
         for i in range(game.num_agents)
     ]
-    final_action, deviated = simulate_deviation(game, z, recommendation, unc, etas=etas)
+    final_action, deviated = simulate_deviation(game, z, recommendation, etas)
     if method == METHOD_FCFS:
         # FCFS is the uncoordinated operational baseline: airlines execute
         # their own schedule-order releases, there is no coordinator

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import BudgetExceededError, FiniteGame, joint_space_size
+from .game import FiniteGame, check_joint_space
 
 __all__ = [
     "AircraftClass",
@@ -222,19 +222,17 @@ def fcfs_profile(instance: VQInstance) -> tuple[int, ...]:
     return tuple(m - 1 for m in instance.action_counts)
 
 
-def build_game(instance: VQInstance, *, joint_space_cap: int = 2 ** 24):
+def build_game(instance: VQInstance):
     """Lower the instance to a FiniteGame plus the coordinator's cost table.
 
     Returns ``(game, sys_cost)`` where agent i's cost table is its
     class-weighted fleet delay and ``sys_cost[k]`` is the unweighted total at
     flat joint index k. Tables are built on the full action grid, vectorized
-    per flight.
+    per flight; a joint space above ``JOINT_SPACE_CAP`` raises
+    :class:`BudgetExceededError`.
     """
     counts = instance.action_counts
-    if joint_space_size(counts) > joint_space_cap:
-        raise BudgetExceededError(
-            f"joint space of size {joint_space_size(counts)} exceeds the cap of {joint_space_cap}"
-        )
+    check_joint_space(counts)
     shape = counts
     n = instance.num_airlines
 

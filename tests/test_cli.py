@@ -1,8 +1,16 @@
 import csv
+import importlib
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cceq
 from cceq.cli import main
 from cceq.game import FiniteGame, save_game
 from conftest import INTERSECTION_COSTS
@@ -58,6 +66,19 @@ def test_run_bad_flags_exit_2_before_writing(tmp_path, bad):
     rc = main(["run", "--methods", "fcfs", "--trials", "2", "--flights", "6",
                "--out", str(out), *bad])
     assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", [
+    {"thresholds": {"congestoin": 99}},
+    {"runways": {"mu": [2, 2, 3]}},
+])
+def test_run_bad_scenario_exits_2_before_writing(tmp_path, scenario):
+    out = tmp_path / "results.csv"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"methods": ["fcfs"], "num_trials": 1, "flight_counts": [6],
+                               "out": str(out), "scenario": scenario}))
+    assert main(["run", "--config", str(cfg)]) == 2
     assert not out.exists()
 
 
@@ -132,11 +153,17 @@ def test_run_exit_zero_despite_per_trial_failures(tmp_path, capsys):
 
 
 def test_console_script_installed():
-    import shutil
-    import subprocess
+    # the installed `cceq` when there is one; otherwise the module it names
+    src = Path(cceq.__file__).resolve().parents[1]
     exe = shutil.which("cceq")
     if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+        pyproject = (src.parent / "pyproject.toml").read_text()
+        module, attr = re.search(r'^cceq = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        assert callable(getattr(importlib.import_module(module), attr))
+        command = [sys.executable, "-m", module, "--help"]
+    else:
+        command = [exe, "--help"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "enumerate-pne" in proc.stdout

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import cceq.game
 from cceq.equilibrium import (
     CcPneSet,
     assemble_ce_constraints,
@@ -37,10 +38,6 @@ from oracles import (
 UNC0 = UncertaintyModel.zero(2)
 UNC1 = UncertaintyModel.gaussian(1.0, 2)
 Q90 = 1.2815515655446004
-
-
-def sigmas_of(unc):
-    return [d.sigma for d in unc.per_agent]
 
 
 def canonical_ids(game):
@@ -170,9 +167,10 @@ def test_enumerate_limit_and_order(intersection_game):
     assert limited.profiles == ((0, 1),)
 
 
-def test_enumerate_budget_cap(intersection_game):
+def test_enumerate_budget_cap(intersection_game, monkeypatch):
+    monkeypatch.setattr(cceq.game, "JOINT_SPACE_CAP", 2)
     with pytest.raises(BudgetExceededError):
-        enumerate_cc_pne(intersection_game, UNC0, 0.9, joint_space_cap=2)
+        enumerate_cc_pne(intersection_game, UNC0, 0.9)
 
 
 def test_enumerate_matches_scalar_check():
@@ -392,7 +390,7 @@ def test_assemble_rows_consistent_with_check_margins():
         rows = incentive_rows(game, quantiles)
         mass = rng.dirichlet(np.ones(game.num_joint))
         z = JointDistribution(mass, game.action_counts)
-        margins = eq_margins(game, mass, [d.sigma for d in unc.per_agent], alpha)
+        margins = eq_margins(game, mass, unc.sigmas, alpha)
         kernel = [incentive_gains(game, z, i) for i in range(game.num_agents)]
         for row, (i, rec, alt) in zip(rows, canonical_ids(game), strict=True):
             marginal = z.marginal(i, rec)

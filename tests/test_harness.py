@@ -28,27 +28,23 @@ from cceq.vq import build_game, generate_instance
 
 
 def test_simulate_deviation_forced_eta(intersection_game, half_device):
-    unc = UncertaintyModel.gaussian(1.0, 2)
     # recommended (G,S); margin of G->S is -2, so eta_0 = +2.5 flips it
-    final, deviated = simulate_deviation(intersection_game, half_device, (0, 1), unc,
-                                         etas=[2.5, 0.0])
+    final, deviated = simulate_deviation(intersection_game, half_device, (0, 1), [2.5, 0.0])
     assert deviated and final == (1, 1)
-    final, deviated = simulate_deviation(intersection_game, half_device, (0, 1), unc,
-                                         etas=[1.0, 0.0])
+    final, deviated = simulate_deviation(intersection_game, half_device, (0, 1), [1.0, 0.0])
     assert not deviated and final == (0, 1)
 
 
 def test_simulate_deviation_zero_noise_on_ccce(intersection_game, half_device, intersection_sys_cost):
     unc0 = UncertaintyModel.zero(2)
     for seed in range(20):
-        final, deviated = simulate_deviation(intersection_game, half_device, (0, 1), unc0,
-                                             rng=substream(seed))
+        etas = [unc0.sample_eta(i, substream(seed, i)) for i in range(2)]
+        final, deviated = simulate_deviation(intersection_game, half_device, (0, 1), etas)
         assert not deviated and final == (0, 1)
     result = solve_full_ccce(intersection_game, unc0, 0.9, intersection_sys_cost)
     for rec_flat in result.distribution.support:
         rec = tuple(int(c) for c in np.unravel_index(rec_flat, (2, 2)))
-        _, deviated = simulate_deviation(intersection_game, result.distribution, rec, unc0,
-                                         etas=[0.0, 0.0])
+        _, deviated = simulate_deviation(intersection_game, result.distribution, rec, [0.0, 0.0])
         assert not deviated
 
 
@@ -56,17 +52,14 @@ def test_simulate_deviation_argmax_tie_rule(intersection_game):
     # point mass on (G,G): margins for agent 0 are J0(G,G)-J0(S,G)=4 for the
     # single alternative; a large eta keeps it positive
     z = JointDistribution.point_mass((0, 0), (2, 2))
-    final, deviated = simulate_deviation(intersection_game, z, (0, 0), UncertaintyModel.zero(2),
-                                         etas=[0.0, 0.0])
+    final, deviated = simulate_deviation(intersection_game, z, (0, 0), [0.0, 0.0])
     assert deviated and final == (1, 1)  # both agents best-respond simultaneously
 
 
 def test_simulate_deviation_validates_etas(intersection_game, half_device):
-    with pytest.raises(ValueError):
-        simulate_deviation(intersection_game, half_device, (0, 1), UncertaintyModel.zero(2),
-                           etas=[0.0])
-    with pytest.raises(ValueError):
-        simulate_deviation(intersection_game, half_device, (0, 1), UncertaintyModel.zero(2))
+    for etas in ([0.0], [0.0, 0.0, 0.0], []):
+        with pytest.raises(ValueError):
+            simulate_deviation(intersection_game, half_device, (0, 1), etas)
 
 
 def base_config(**overrides):
@@ -242,6 +235,10 @@ def test_config_from_dict_nested_sigma_and_validation():
         ExperimentConfig.from_dict({"unknown_key": 1})
     with pytest.raises(ValueError):
         ExperimentConfig(scenario={"bad": 1})
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict({"scenario": {"thresholds": {"congestoin": 99}}})
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict({"scenario": {"runways": {"mu": [2, 2, 3]}}})
 
 
 def test_config_scenario_kwargs():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cceq.game
 from cceq.game import BudgetExceededError, unflatten
 from cceq.vq import (
     AircraftClass,
@@ -215,10 +216,11 @@ def test_build_game_random_instance_cross_check():
         assert sys_cost[flat] == pytest.approx(system_cost(inst, coords), abs=1e-9)
 
 
-def test_build_game_budget():
+def test_build_game_budget(monkeypatch):
+    monkeypatch.setattr(cceq.game, "JOINT_SPACE_CAP", 8)
     inst = generate_instance(10, 2, seed=0)
     with pytest.raises(BudgetExceededError):
-        build_game(inst, joint_space_cap=8)
+        build_game(inst)
 
 
 def test_fcfs_releases_everything():
