@@ -15,6 +15,7 @@ perturbation every operation reduces exactly to its nominal counterpart.
 from __future__ import annotations
 
 import math
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,12 @@ __all__ = [
 
 # Constraint replay tolerance, consistent with the LP module contract.
 FEASIBILITY_TOL = 1e-7
+# Peak RSS growth of one selection solve per constraint nonzero: assembly,
+# the column-wise program and HiGHS's own copy. Measured with ru_maxrss in a
+# child process (2-core Xeon, scipy 1.17.1): 101 B on the default grid's
+# largest program (14 flights, master seed 0, trial 9, sigma 1: 4.3M
+# nonzeros, 42 -> 458 MB), 105-114 B at 12 and 13 flights; rounded up.
+BYTES_PER_NONZERO = 120
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +154,42 @@ def assemble_ce_constraints(game: FiniteGame, quantiles) -> tuple[np.ndarray, np
     return index, value
 
 
+def _available_memory_bytes() -> float:
+    """MemAvailable from /proc/meminfo, capped by the room left under a soft
+    RLIMIT_AS; inf when neither is known."""
+    available = math.inf
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    try:
+        with open("/proc/meminfo") as handle:
+            for line in handle:
+                if line.startswith("MemAvailable:"):
+                    available = int(line.split()[1]) * 1024
+                    break
+        if limit != resource.RLIM_INFINITY:
+            with open("/proc/self/statm") as handle:  # first field: address space in pages
+                used = int(handle.read().split()[0]) * resource.getpagesize()
+            available = min(available, limit - used)
+    except OSError:  # no procfs
+        pass
+    return available
+
+
 def ccce_program(game: FiniteGame, quantiles, sys_cost) -> LinearProgram:
-    """The selection LP: minimize expected system cost over the tightened CE polytope."""
+    """The selection LP: minimize expected system cost over the tightened CE polytope.
+
+    Raises MemoryError, before anything is allocated, when the program is not
+    expected to fit in the memory available.
+    """
     objective = np.ascontiguousarray(sys_cost, dtype=float)
     if objective.shape != (game.num_joint,):
         raise ValueError("sys_cost must assign one finite value per joint action")
     if not np.all(np.isfinite(objective)):
         raise ValueError("sys_cost must be finite everywhere")
+    nonzeros = game.num_joint * (sum(m - 1 for m in game.action_counts) + 1)
+    needed, available = nonzeros * BYTES_PER_NONZERO, _available_memory_bytes()
+    if needed > available:
+        raise MemoryError(f"selection program with {nonzeros} nonzeros needs about "
+                          f"{needed / 2**20:.0f} MB; {available / 2**20:.0f} MB available")
     index, value = assemble_ce_constraints(game, quantiles)
     num_incentive = sum(m * (m - 1) for m in game.action_counts)
     row_upper = np.append(np.zeros(num_incentive), 1.0)
@@ -205,10 +241,12 @@ def solve_full_ccce(
     agent's perturbation. The returned distribution carries no mass below
     ``MASS_TOL`` and has passed :func:`check_ccce_feasibility`; one that
     fails it raises :class:`SolverFailureError`, as do other LP solver
-    failures. Infeasibility of the tightened polytope is reported through
-    the result status. ``deadline``, a ``time.perf_counter()`` value, bounds
-    the solve: it is checked once the program is assembled, the time left
-    becomes the solver's time limit, and passing it raises ``TimeoutError``.
+    failures. A program not expected to fit in memory raises MemoryError
+    before it is assembled. Infeasibility of the tightened polytope is
+    reported through the result status. ``deadline``, a
+    ``time.perf_counter()`` value, bounds the solve: it is checked once the
+    program is assembled, the time left becomes the solver's time limit, and
+    passing it raises ``TimeoutError``.
     """
     return _solve_selection(game, _quantiles(game, unc, alpha), sys_cost, deadline)
 

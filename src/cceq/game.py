@@ -187,7 +187,8 @@ def incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
     """One agent's unnormalized deviation gains under z, and its recommendation marginals.
 
     Returns ``(gains, marginals)``. ``gains[rec, alt]`` is the sum over the
-    other agents' actions x of z(rec, x) * (J_i(rec, x) - J_i(alt, x)); a
+    other agents' actions x of z(rec, x) * (J_i(rec, x) - J_i(alt, x)),
+    computed over the support of z only, so a point mass costs O(m_i); a
     positive entry means switching from ``rec`` to ``alt`` pays off in
     expectation. It is affine in z, the form the equilibrium LP rows take;
     dividing row ``rec`` by ``marginals[rec]`` gives the expected gain
@@ -196,12 +197,18 @@ def incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
     """
     if z.action_counts != game.action_counts:
         raise ValueError("distribution does not match the game's action space")
-    m = game.action_counts[agent]
-    zmat = np.moveaxis(z.grid, agent, 0).reshape(m, -1)
-    jmat = np.moveaxis(game.cost_grid(agent), agent, 0).reshape(m, -1)
-    # pairwise[rec, alt] = sum_x z(rec, x) * J_i(alt, x)
-    pairwise = zmat @ jmat.T
-    return np.diag(pairwise)[:, None] - pairwise, zmat.sum(axis=1)
+    counts = game.action_counts
+    m = counts[agent]
+    stride = joint_space_size(counts[agent + 1:])
+    support = z.support
+    weight = z.mass[support]
+    own = support // stride % m
+    cost = game.costs[agent]
+    # swapped[k, alt]: agent i's cost at support point k with its own action set to alt
+    swapped = cost[(support - own * stride)[:, None] + stride * np.arange(m)]
+    gains = np.zeros((m, m))
+    np.add.at(gains, own, weight[:, None] * (cost[support][:, None] - swapped))
+    return gains, np.bincount(own, weights=weight, minlength=m)
 
 
 # --- JSON serialization -----------------------------------------------------

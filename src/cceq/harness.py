@@ -10,19 +10,22 @@ from its recommendation under the sampled cost perturbations.
 Pairing and reproducibility: the instance of trial t depends only on
 (master_seed, t, flight count), never on the method, and the per-agent
 perturbation draws are likewise method-independent, so methods face identical
-conditions within a trial. A batch generates and lowers each trial's instance
-once and runs every method on that one game. Two runs with the same config
-produce identical CSVs except for the solve_seconds column.
+conditions within a trial. A batch generates and lowers each trial's instance,
+and draws its perturbations, once and runs every method on that one game. Two
+runs with the same config produce identical CSVs except for the solve_seconds
+column.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import numbers
 import statistics
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +44,14 @@ from .game import (
 )
 from .lp import LpStatus, SolverFailureError, load_highs
 from .uncertainty import UncertaintyModel, substream
-from .vq import build_game, fcfs_profile, generate_instance
+from .vq import VQInstance, build_game, fcfs_profile, generate_instance
 
 __all__ = [
     "CSV_COLUMNS",
     "CellSummary",
     "ExperimentConfig",
     "ExperimentResult",
+    "LoweredTrial",
     "METHODS",
     "TrialRecord",
     "format_summary",
@@ -88,6 +92,20 @@ _SCENARIO_KEYS = {"runways": {"mu", "q0"}, "thresholds": {"congestion", "latenes
                   "epoch_minutes": None, "weights": None, "lateness_scale": None}
 
 
+def _as_tuple(name: str, value) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _check_type(name: str, value, kind) -> None:
+    """Raise ValueError unless ``value`` is a ``kind`` (Integral or Real), bools excluded."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Batch configuration; defaults match the benchmark's standard setup."""
@@ -104,11 +122,19 @@ class ExperimentConfig:
     scenario: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.methods = tuple(self.methods)
-        unknown = set(self.methods) - set(METHODS)
-        if not self.methods or unknown:
+        self.methods = _as_tuple("methods", self.methods)
+        if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of {METHODS}, got {self.methods}")
-        self.flight_counts = tuple(int(f) for f in self.flight_counts)
+        for name in ("num_trials", "num_airlines", "master_seed"):
+            _check_type(name, getattr(self, name), numbers.Integral)
+        for name in ("alpha", "time_budget_per_solve"):
+            _check_type(name, getattr(self, name), numbers.Real)
+        flight_counts = _as_tuple("flight_counts", self.flight_counts)
+        for f in flight_counts:
+            _check_type("flight_counts entry", f, numbers.Integral)
+        for s in self.sigma if isinstance(self.sigma, (list, tuple)) else (self.sigma,):
+            _check_type("sigma", s, numbers.Real)
+        self.flight_counts = tuple(int(f) for f in flight_counts)
         if self.num_trials < 1:
             raise ValueError("num_trials must be at least 1")
         if self.num_airlines < 1:
@@ -272,12 +298,22 @@ def _solve_for_method(method, config, instance, game, sys_cost, unc, deadline):
     raise ValueError(f"unknown method {method!r}")
 
 
-def lower_trial(config: ExperimentConfig, trial_index: int, num_flights: int):
-    """Pipeline steps 1-2: generate the trial's instance and lower it to a game.
+class LoweredTrial(NamedTuple):
+    """One trial's instance and game, shared by every method run on it.
 
-    Returns ``(instance, game, sys_cost)``; ``game`` and ``sys_cost`` are None
-    when the joint action space exceeds the cap of ``build_game``.
+    ``game`` and ``sys_cost`` are None when the joint action space exceeds
+    the cap of ``build_game``; ``etas`` then is empty.
     """
+
+    instance: VQInstance
+    game: FiniteGame | None
+    sys_cost: np.ndarray | None
+    etas: tuple[float, ...]
+
+
+def lower_trial(config: ExperimentConfig, trial_index: int, num_flights: int) -> LoweredTrial:
+    """Pipeline steps 1-2: generate the trial's instance, lower it to a game
+    and draw each agent's perturbation for the deviation simulation."""
     instance = generate_instance(
         num_flights,
         config.num_airlines,
@@ -289,27 +325,35 @@ def lower_trial(config: ExperimentConfig, trial_index: int, num_flights: int):
     try:
         game, sys_cost = build_game(instance)
     except BudgetExceededError:
-        return instance, None, None
-    return instance, game, sys_cost
+        return LoweredTrial(instance, None, None, ())
+    unc = UncertaintyModel.gaussian(config.sigma, game.num_agents)
+    # the draws depend only on (master seed, trial, flight count, agent)
+    etas = tuple(
+        unc.sample_eta(i, substream(config.master_seed, _STREAM_ETA,
+                                    trial_index, num_flights, i))
+        for i in range(game.num_agents)
+    )
+    return LoweredTrial(instance, game, sys_cost, etas)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, method: str,
-              num_flights: int, lowered=None) -> TrialRecord:
+              num_flights: int, lowered: LoweredTrial | None = None) -> TrialRecord:
     """Run one benchmark cell.
 
-    Pipeline: generate the trial's instance, build its game (both skipped
-    when ``lowered``, the result of :func:`lower_trial` for this trial, is
-    given), compute the method's recommendation distribution (this step
-    alone is timed and held to the per-solve budget: the selection LP solve
-    checks it after assembly and hands the remainder to the solver as its
-    time limit), sample a recommendation, simulate deviations under
-    per-agent perturbations, and price the resulting joint action with the
-    coordinator's cost table. Per-trial failures, running out of memory
-    included, become statuses, never exceptions.
+    Pipeline: generate the trial's instance, build its game and draw the
+    perturbations (all skipped when ``lowered``, the result of
+    :func:`lower_trial` for this trial, is given), compute the method's
+    recommendation distribution (this step alone is timed and held to the
+    per-solve budget: the selection LP solve checks it after assembly and
+    hands the remainder to the solver as its time limit), sample a
+    recommendation, simulate deviations under the per-agent perturbations,
+    and price the resulting joint action with the coordinator's cost table.
+    Per-trial failures, running out of memory included, become statuses,
+    never exceptions.
     """
     if lowered is None:
         lowered = lower_trial(config, trial_index, num_flights)
-    instance, game, sys_cost = lowered
+    instance, game, sys_cost, etas = lowered
     if game is None:
         return TrialRecord(
             trial_index=trial_index, method=method, num_flights=num_flights,
@@ -318,7 +362,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
         )
     unc = UncertaintyModel.gaussian(config.sigma, game.num_agents)
     if method == METHOD_FULL_CCCE:
-        load_highs()  # a one-time import, kept out of solve_seconds
+        load_highs()  # loads the solver module once (~10 ms), outside solve_seconds
 
     start = time.perf_counter()
     try:
@@ -350,11 +394,6 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     rec_rng = substream(config.master_seed, _STREAM_RECOMMEND, trial_index,
                         num_flights, _METHOD_IDS[method])
     recommendation = sample_recommendation(z, rec_rng)
-    etas = [
-        unc.sample_eta(i, substream(config.master_seed, _STREAM_ETA,
-                                    trial_index, num_flights, i))
-        for i in range(game.num_agents)
-    ]
     final_action, deviated = simulate_deviation(game, z, recommendation, etas)
     if method == METHOD_FCFS:
         # FCFS is the uncoordinated operational baseline: airlines execute

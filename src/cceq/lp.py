@@ -3,9 +3,11 @@
 A program is held the way HiGHS takes it: the constraint matrix column by
 column (``start``/``index``/``value``, compressed sparse column), with row
 bounds instead of separate inequality and equality blocks. The solver is the
-dual revised simplex of HiGHS (Huangfu & Hall 2018), bundled with scipy and
-called directly through its array interface, which skips the option checks
-and sparse conversions ``scipy.optimize.linprog`` spends per call. Presolve
+dual revised simplex of HiGHS (Huangfu & Hall 2018), bundled with scipy as
+one self-contained extension module. That module alone is loaded, on the
+first solve, without ``scipy.optimize`` (see :func:`load_highs`), and called
+directly through its array interface, which skips the option checks and
+sparse conversions ``scipy.optimize.linprog`` spends per call. Presolve
 is off: on the selection programs of this package it slows every size
 measured. Serial simplex runs are deterministic for a given program.
 """
@@ -13,6 +15,10 @@ measured. Serial simplex runs are deterministic for a given program.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -127,14 +133,33 @@ class LpSolution:
 
 @functools.cache
 def load_highs():
-    """scipy's bundled HiGHS bindings, imported on first use.
+    """scipy's bundled HiGHS bindings, loaded on first use.
 
-    The import takes about half a second, so ``import cceq`` does not pay
-    it, and a caller timing its solves can load it before starting a clock.
+    Only the self-contained extension module ``scipy.optimize._highspy._core``
+    is loaded, without running ``scipy/__init__.py`` or
+    ``scipy/optimize/__init__.py``: that takes about 10 ms and 3 MB, where
+    ``import scipy.optimize`` takes about 0.7 s and 50 MB. The module is
+    registered under its full name, so a later ``import scipy.optimize``
+    reuses it, and one already imported that way is returned as it is.
     """
-    from scipy.optimize._highspy import _core
-
-    return _core
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")  # a top-level name: not imported
+    location = None
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        package_dirs = [os.path.join(d, "optimize", "_highspy")
+                        for d in scipy_spec.submodule_search_locations]
+        found = importlib.machinery.PathFinder.find_spec("_core", package_dirs)
+        location = found.origin if found is not None else None
+    if location is None:
+        raise ImportError(f"HiGHS extension module {name} not found; "
+                          "cceq needs scipy >= 1.17 installed")
+    spec = importlib.util.spec_from_file_location(name, location)
+    module = importlib.util.module_from_spec(spec)  # loads the shared library
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def solve(lp: LinearProgram, max_iterations: int | None = None,

@@ -4,7 +4,8 @@ Everything here is written from the underlying math, separately from the
 package implementation: an erf-series normal CDF with bisection inversion, a
 loop-based chance-constrained CE feasibility checker (quantiles via scipy), a
 brute-force LP vertex enumerator, constructors for LPs with known optima, a
-dense view of the package's column-wise LPs, the LP form of the
+dense view of the package's column-wise LPs, the incentive gains as one
+dense matrix product over the joint space, the LP form of the
 reduced-rank program, and the airport scenario's cost model evaluated one
 joint action and one flight at a time (the reference for ``build_game``).
 """
@@ -170,6 +171,17 @@ def random_game(rng: np.random.Generator, max_agents: int = 3, max_actions: int 
     num_joint = int(np.prod(counts))
     costs = rng.integers(low, high + 1, size=(n, num_joint)).astype(float)
     return FiniteGame(counts, costs)
+
+
+def dense_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
+    """``incentive_gains`` over the whole joint space, as one matrix product:
+    pairwise[rec, alt] = sum_x z(rec, x) * J_i(alt, x), and
+    gains[rec, alt] = pairwise[rec, rec] - pairwise[rec, alt]."""
+    m = game.action_counts[agent]
+    zmat = np.moveaxis(z.grid, agent, 0).reshape(m, -1)
+    jmat = np.moveaxis(game.cost_grid(agent), agent, 0).reshape(m, -1)
+    pairwise = zmat @ jmat.T
+    return np.diag(pairwise)[:, None] - pairwise, zmat.sum(axis=1)
 
 
 def grid_distributions(num_joint: int, denom: int = 20, every: int = 1):

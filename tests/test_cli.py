@@ -82,6 +82,26 @@ def test_run_bad_scenario_exits_2_before_writing(tmp_path, scenario):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", [
+    {"alpha": "0.9"},
+    {"num_trials": "3"},
+    {"num_airlines": True},
+    {"master_seed": 1.5},
+    {"time_budget_per_solve": "1"},
+    {"uncertainty": {"sigma": "1.0"}},
+    {"sigma": [1.0, "2", 1.0, 1.0, 1.0]},
+    {"flight_counts": 6},
+    {"flight_counts": ["6"]},
+])
+def test_run_wrong_type_config_exits_2_before_writing(tmp_path, field):
+    out = tmp_path / "results.csv"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"methods": ["fcfs"], "num_trials": 1, "flight_counts": [6],
+                               "out": str(out), **field}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert not out.exists()
+
+
 def test_run_missing_config_exits_1(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 

@@ -14,6 +14,7 @@ from cceq.game import (
     save_game,
     unflatten,
 )
+from oracles import dense_incentive_gains, random_game
 
 
 def test_flat_index_examples():
@@ -73,6 +74,28 @@ def test_incentive_gains_diagonal_and_validation(intersection_game):
             assert np.all(np.diag(incentive_gains(game, z, agent)[0]) == 0.0)
     with pytest.raises(ValueError):
         incentive_gains(intersection_game, JointDistribution(np.ones(3) / 3, (3,)), 0)
+
+
+def test_incentive_gains_matches_dense_oracle():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        game = random_game(rng, max_agents=4, max_actions=4)
+        counts = game.action_counts
+        for flat in rng.choice(game.num_joint, size=3, replace=False):
+            z = JointDistribution.point_mass(unflatten(flat, counts), counts)
+            for agent in range(game.num_agents):
+                got, want = incentive_gains(game, z, agent), dense_incentive_gains(game, z, agent)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for _ in range(3):
+            support = rng.choice(game.num_joint, size=int(rng.integers(2, game.num_joint + 1)),
+                                 replace=False)
+            mass = np.zeros(game.num_joint)
+            mass[support] = rng.dirichlet(np.ones(support.size))
+            z = JointDistribution(mass, counts)
+            for agent in range(game.num_agents):
+                got, want = incentive_gains(game, z, agent), dense_incentive_gains(game, z, agent)
+                assert np.allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
+                assert np.allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
 
 
 def test_deviation_cost_antisymmetry():

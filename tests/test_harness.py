@@ -161,6 +161,88 @@ def test_first_full_ccce_solve_excludes_the_solver_import():
     assert float(seconds) < 0.1
 
 
+def test_load_highs_loads_only_the_extension_module():
+    out = run_fresh(
+        "import sys, time\n"
+        "from cceq.lp import LinearProgram, load_highs, solve\n"
+        "start = time.perf_counter()\n"
+        "core = load_highs()\n"
+        "print(time.perf_counter() - start)\n"
+        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
+        "       if m in sys.modules] == [])\n"
+        "sol = solve(LinearProgram.from_rows([1.0, 2.0], ineq=[([-1.0, -1.0], -1.0)]))\n"
+        "print(sol.status.value, sol.objective_value)\n"
+        "from scipy.optimize import linprog\n"
+        "from scipy.optimize._highspy import _core\n"
+        "ref = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method='highs')\n"
+        "print(ref.status, ref.fun)\n"
+        "print(_core is core, sys.modules['scipy.optimize._highspy._core'] is core)\n"
+    )
+    seconds, lean, status, objective, ref_status, ref_objective, *same = out.split()
+    assert float(seconds) < 0.25  # importing scipy.optimize takes about 0.7 s
+    assert lean == "True"
+    assert status == "optimal" and float(objective) == 1.0
+    assert ref_status == "0" and float(ref_objective) == float(objective)
+    assert same == ["True", "True"]
+
+
+def test_load_highs_reuses_an_imported_scipy_optimize():
+    out = run_fresh(
+        "import scipy.optimize\n"
+        "from cceq.lp import load_highs\n"
+        "print(load_highs() is scipy.optimize._highspy._core)\n"
+    )
+    assert out.split() == ["True"]
+
+
+def test_perturbations_are_drawn_once_per_trial(tmp_path, monkeypatch):
+    import cceq.harness as hmod
+    paths = []
+
+    def counted(*path):
+        paths.append(path)
+        return substream(*path)
+
+    monkeypatch.setattr(hmod, "substream", counted)
+    config = base_config(num_trials=2, flight_counts=(6,), methods=METHODS,
+                         out_path=str(tmp_path / "results.csv"))
+    records = run_experiment(config).records
+    eta_paths = [p for p in paths if p[1] == hmod._STREAM_ETA]
+    assert eta_paths == [(12, hmod._STREAM_ETA, t, 6, i) for t in range(2) for i in range(3)]
+    assert len(paths) - len(eta_paths) == sum(r.status == STATUS_OK for r in records)
+
+
+def test_program_too_large_for_memory_is_refused_before_assembly(monkeypatch):
+    import cceq.equilibrium as eqmod
+
+    def not_allocated(*args, **kwargs):
+        raise AssertionError("assembly ran")
+
+    assert eqmod._available_memory_bytes() > 0
+    monkeypatch.setattr(eqmod, "_available_memory_bytes", lambda: 1024.0)
+    monkeypatch.setattr(eqmod, "assemble_ce_constraints", not_allocated)
+    config = base_config(sigma=1.0, num_trials=1)
+    record = run_trial(config, 0, "full-ccce", 6)
+    assert record.status == "solver-failure" and record.delay_cost is None
+    assert run_trial(config, 0, "rr-ccce", 6).status == "ok"
+    game, sys_cost = build_game(generate_instance(6, 5, seed=0))
+    with pytest.raises(MemoryError, match="nonzeros needs about"):
+        solve_full_ccce(game, UncertaintyModel.zero(game.num_agents), 0.9, sys_cost)
+
+
+def test_available_memory_respects_the_address_space_limit():
+    out = run_fresh(
+        "import resource\n"
+        "from cceq.equilibrium import _available_memory_bytes\n"
+        "with open('/proc/self/statm') as handle:\n"
+        "    used = int(handle.read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (used + 2**26, hard))\n"
+        "print(0 < _available_memory_bytes() <= 2**26)\n"
+    )
+    assert out.split() == ["True"]
+
+
 def test_memory_error_becomes_solver_failure(tmp_path, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError

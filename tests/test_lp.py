@@ -1,3 +1,6 @@
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -7,6 +10,7 @@ from cceq.lp import (
     LinearProgram,
     LpStatus,
     SolverFailureError,
+    load_highs,
     solve,
 )
 from oracles import dense_constraints, enumerate_lp_vertices, lp_with_known_optimum
@@ -203,3 +207,10 @@ def test_vq_selection_programs_match_scipy():
         assert sol.status == LpStatus.OPTIMAL and ref.status == 0
         assert sol.objective_value == pytest.approx(ref.fun, rel=1e-6)
         replay(program, sol.values)
+
+
+def test_load_highs_without_the_extension_raises_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="not found"):
+        load_highs.__wrapped__()  # uncached
