@@ -25,7 +25,7 @@ from .equilibrium import (
     solve_full_ccce,
 )
 from .game import JointDistribution, load_game
-from .harness import METHODS, ExperimentConfig, format_summary, run_experiment
+from .harness import METHODS, ExperimentConfig, format_summary, run_experiment, summarize_paired
 from .lp import LpStatus
 from .uncertainty import UncertaintyModel
 
@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
             doc[key] = value
     config = ExperimentConfig.from_dict(doc)
     result = run_experiment(config)
-    print(format_summary(result.summaries))
+    print(format_summary(result.summaries, summarize_paired(result.records)))
     print(f"wrote {len(result.records)} rows to {result.csv_path}")
     return 0
 

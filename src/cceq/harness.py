@@ -60,6 +60,7 @@ __all__ = [
     "run_trial",
     "simulate_deviation",
     "summarize",
+    "summarize_paired",
 ]
 
 METHOD_FCFS = "fcfs"
@@ -457,7 +458,20 @@ def summarize(records) -> list[CellSummary]:
     return out
 
 
-def format_summary(summaries) -> str:
+def summarize_paired(records) -> list[CellSummary]:
+    """:func:`summarize` over the paired trials only: those (flight count,
+    trial) pairs where every method run on them is ok, so that the methods'
+    means compare the same instances. A cell without one is left out."""
+    paired: dict[tuple[int, int], bool] = {}
+    for r in records:
+        key = (r.num_flights, r.trial_index)
+        paired[key] = paired.get(key, True) and r.status == STATUS_OK
+    return summarize([r for r in records if paired[(r.num_flights, r.trial_index)]])
+
+
+def format_summary(summaries, paired=None) -> str:
+    """A table of per-cell summaries; with ``paired`` (see
+    :func:`summarize_paired`), a second table under it."""
     header = (f"{'method':<12} {'|F|':>4} {'ok':>4} {'mean delay':>12} "
               f"{'std':>10} {'mean solve s':>13} {'dev rate':>9} "
               f"{'inf':>4} {'t/o':>4} {'fail':>5}")
@@ -471,6 +485,8 @@ def format_summary(summaries) -> str:
             f"{fmt(s.mean_solve_seconds, 13, 4)} {fmt(s.deviation_rate, 9, 3)} "
             f"{s.n_infeasible:>4} {s.n_timeout:>4} {s.n_failed:>5}"
         )
+    if paired is not None:
+        lines += ["", "paired: only the trials where every method is ok", format_summary(paired)]
     return "\n".join(lines)
 
 

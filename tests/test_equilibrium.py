@@ -186,6 +186,58 @@ def test_enumerate_matches_scalar_check():
             assert (coords in found) == is_cc_pne(game, coords, unc, alpha)
 
 
+def test_enumerate_sub_ulp_tightening_admits_no_worse_action():
+    # q = 1.28e-20 is below half an ulp of the costs, so cost + q == cost:
+    # the two actions costing 2 are still beaten by the one costing 1
+    game = FiniteGame((3,), np.array([[1.0, 2.0, 2.0]]))
+    unc = UncertaintyModel.gaussian(1e-20, 1)
+    assert enumerate_cc_pne(game, unc, 0.9).profiles == ((0,),)
+    assert [is_cc_pne(game, (a,), unc, 0.9) for a in range(3)] == [True, False, False]
+
+
+# Action counts covering one action, two, 3..16 and more than 16, an
+# `after` (product of the later counts) below and at or above 16, and
+# joint spaces on both sides of the size where the runner-up search
+# switches from np.partition to the tournament.
+BRANCH_SHAPES = [
+    (1,), (2,), (3,), (5, 2), (2, 17), (20, 3), (1, 3, 2), (2, 1, 20), (4, 16, 1),
+    (17, 32), (5, 3, 7, 6), (4, 8, 20), (2, 20, 4, 4), (3, 2, 16, 6),
+    (2047,), (17, 5, 25), (20, 6, 3, 6),
+]
+# (sigma, alpha): q < 0, q = 0, q > 0 below half an ulp of the costs,
+# ordinary q > 0, and agents cycling through the kinds of q >= 0
+TIGHTENINGS = [(1.0, 0.2), (0.0, 0.9), (1e-20, 0.9), (1.0, 0.9), ((0.0, 1e-20, 1.0, 0.5), 0.7)]
+
+
+@pytest.mark.parametrize("counts", BRANCH_SHAPES, ids=str)
+def test_enumerate_matches_brute_force_on_every_branch(counts):
+    import cceq.equilibrium as eqmod
+
+    sizes = [int(np.prod(c)) for c in BRANCH_SHAPES]
+    assert min(sizes) < eqmod._TOURNAMENT_MIN_JOINT <= max(sizes)
+    rng = np.random.default_rng(sum(counts))
+    n, num_joint = len(counts), int(np.prod(counts))
+    profiles = list(itertools.product(*[range(m) for m in counts]))
+    # all agents' costs random (tie-heavy integers, then continuous), then
+    # each agent alone facing constant costs of the others, so that no other
+    # agent's test can hide a wrong one, with fewer ties so that runner-ups
+    # other than a tied minimum occur
+    cases = [(rng.integers(0, 3, (n, num_joint)), None), (rng.normal(size=(n, num_joint)), None)]
+    for i, m in enumerate(counts):
+        costs = np.zeros((n, num_joint))
+        costs[i] = rng.integers(0, 2 * m, num_joint)
+        cases.append((costs, i))
+    for costs, alone in cases:
+        game = FiniteGame(counts, costs.astype(float))
+        for sigma, alpha in TIGHTENINGS:
+            sigmas = (sigma * n)[:n] if isinstance(sigma, tuple) else (sigma,) * n
+            if alone is not None:  # the others, at sigma 0, pass everywhere
+                sigmas = tuple(s if j == alone else 0.0 for j, s in enumerate(sigmas))
+            unc = UncertaintyModel.gaussian(sigmas, n)
+            expected = tuple(p for p in profiles if is_cc_pne(game, p, unc, alpha))
+            assert enumerate_cc_pne(game, unc, alpha).profiles == expected, (sigmas, alpha, alone)
+
+
 def test_alpha_validation(intersection_game):
     for alpha in (0.0, 1.0, -1.0):
         with pytest.raises(ValueError):

@@ -17,11 +17,13 @@ from cceq.harness import (
     ExperimentConfig,
     METHODS,
     STATUS_OK,
+    TrialRecord,
     format_summary,
     run_experiment,
     run_trial,
     simulate_deviation,
     summarize,
+    summarize_paired,
 )
 from cceq.uncertainty import UncertaintyModel, substream
 from cceq.vq import build_game, generate_instance
@@ -241,6 +243,56 @@ def test_available_memory_respects_the_address_space_limit():
         "print(0 < _available_memory_bytes() <= 2**26)\n"
     )
     assert out.split() == ["True"]
+
+
+def test_cgroup_memory_room_reads_v2_then_v1_limits(tmp_path, monkeypatch):
+    import cceq.equilibrium as eqmod
+
+    membership = tmp_path / "cgroup"
+    membership.write_text("4:memory:/box\n0::/box\n")
+
+    def room(name, **files):
+        """The room under a fake cgroup mount holding ``files``, given as
+        relative path -> content."""
+        root = tmp_path / name
+        root.mkdir()
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text + "\n")
+        return eqmod._cgroup_memory_room(str(root), str(membership))
+
+    v1_unlimited = {"memory/memory.limit_in_bytes": str(eqmod._CGROUP_V1_NO_LIMIT),
+                    "memory/memory.usage_in_bytes": "1000"}
+    v1_box = {"memory/box/memory.limit_in_bytes": str(2**30),
+              "memory/box/memory.usage_in_bytes": str(2**28)}
+    v2_box = {"box/memory.max": str(2**30), "box/memory.current": str(2**29)}
+    assert room("none") == float("inf")
+    assert room("v1-root", **v1_unlimited) == float("inf")
+    assert room("v1-own", **v1_unlimited, **v1_box) == 3 * 2**28
+    assert room("v2-root", **{"memory.max": "max", "memory.current": "1000"}, **v1_box) == float("inf")
+    assert room("v2-own", **v2_box, **v1_box) == 2**29
+    # a cgroup missing one of its two files is skipped
+    assert room("v2-partial", **{"box/memory.max": str(2**30)}, **v1_box) == 3 * 2**28
+
+    monkeypatch.setattr(eqmod, "_cgroup_memory_room", lambda: 2.0**20)
+    assert 0 < eqmod._available_memory_bytes() <= 2.0**20
+
+
+def test_paired_summary_keeps_trials_where_every_method_is_ok():
+    def record(trial, method, status, delay):
+        return TrialRecord(trial_index=trial, method=method, num_flights=6, alpha=0.9,
+                           sigma=1.0, status=status, solve_seconds=0.0,
+                           delay_cost=delay, deviated=False if delay is not None else None)
+
+    records = [record(0, "fcfs", STATUS_OK, 10.0), record(1, "fcfs", STATUS_OK, 30.0),
+               record(0, "full-ccce", STATUS_OK, 8.0), record(1, "full-ccce", "infeasible", None)]
+    unpaired = {s.method: s for s in summarize(records)}
+    assert (unpaired["fcfs"].n_ok, unpaired["fcfs"].mean_delay) == (2, 20.0)
+    paired = {s.method: s for s in summarize_paired(records)}
+    assert {m: (s.n_ok, s.mean_delay) for m, s in paired.items()} == {
+        "fcfs": (1, 10.0), "full-ccce": (1, 8.0)}
+    table = format_summary(list(unpaired.values()), list(paired.values()))
+    assert table.count("mean delay") == 2 and "paired" in table
 
 
 def test_memory_error_becomes_solver_failure(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
-"""Smoke test of the benchmark: one short traced `grid` run through
-perfbench/run.py, so that a change which breaks the benchmark's hooks or
-checks fails here first."""
+"""Smoke tests of the benchmark: one short traced run of `grid` and of
+`rr-large` through perfbench/run.py, so that a change which breaks the
+benchmark's hooks or checks fails here first."""
 
 import json
 import subprocess
@@ -10,9 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_grid_trace_run_is_correct_and_attributed():
+def traced_run(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "grid", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
@@ -20,9 +20,20 @@ def test_grid_trace_run_is_correct_and_attributed():
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["correct"], proc.stdout
     assert report["failed"] == 0
+    return report
+
+
+def test_grid_trace_run_is_correct_and_attributed():
+    report = traced_run("grid")
     metrics = {name: m["value"] for name, m in report["metrics"].items()}
     # 4 flight counts x 30 trials, each lowered once and shared by 4 methods
     assert metrics["vq.build_game.calls"] == 120
     assert metrics["harness.run_trial.busy_s"] > 0.0
     for method in ("fcfs", "full-ccce", "rr-nominal", "rr-ccce"):
         assert metrics[f"harness.run_trial.{method}.ms_p50"] > 0.0
+
+
+def test_rr_large_trace_run_is_correct():
+    # the benchmark's checks recount every rr row's CC-PNE set by brute force,
+    # here at 12..14 flights, where enumeration takes its large-grid path
+    traced_run("rr-large")
