@@ -124,7 +124,7 @@ def assemble_ce_constraints(game: FiniteGame, quantiles) -> tuple[np.ndarray, np
 
         sum_{x_others} z(rec, x_others) * (J_i(rec, .) - J_i(alt, .) + q_i) <= 0,
 
-    i.e. ``incentive_gains(game, z, i)[0][rec, alt] + q_i * marginal(rec) <= 0``:
+    i.e. ``incentive_gains(game, z)[i][0][rec, alt] + q_i * marginal(rec) <= 0``:
     the deterministic equivalent of the conditional constraint whenever the
     recommendation's marginal is positive, and vacuous (0 <= 0) when it is
     zero. ``quantiles`` holds one tightening q_i per agent (zeros for the
@@ -316,8 +316,7 @@ def _worst_margin(game: FiniteGame, z: JointDistribution, quantiles) -> float:
     """Largest normalized tightened incentive margin over the constraints with
     positive recommendation marginal; -inf when there are none."""
     worst = -math.inf
-    for i in range(game.num_agents):
-        gains, marginals = incentive_gains(game, z, i)
+    for i, (gains, marginals) in enumerate(incentive_gains(game, z)):
         positive = marginals > 0.0
         margins = gains / np.where(positive, marginals, 1.0)[:, None] + quantiles[i]
         margins[~positive, :] = -math.inf
@@ -350,20 +349,23 @@ def is_cc_pne(game: FiniteGame, profile, unc: UncertaintyModel, alpha: float) ->
 
     Deterministic equivalent check: for every agent and every alternative,
     the nominal deviation margin plus the agent's alpha-quantile must be
-    nonpositive. Costs sum_i (m_i - 1) comparisons.
+    nonpositive, i.e. ``cost + q_i <= min over the other actions`` on the
+    line of the agent's own actions through the profile. Costs
+    sum_i (m_i - 1) comparisons.
     """
-    q = _quantiles(game, unc, alpha)
-    coords = tuple(int(c) for c in profile)
-    flat_index(coords, game.action_counts)  # validates ranges
+    q = _quantiles(game, unc, alpha).tolist()
+    flat = flat_index(profile, game.action_counts)  # validates ranges
+    stride = game.num_joint
     for i, m in enumerate(game.action_counts):
+        stride //= m
         if m == 1:
             continue
-        selector = list(coords)
-        selector[i] = slice(None)
-        line = game.cost_grid(i)[tuple(selector)]
-        own = line[coords[i]]
-        others = np.delete(line, coords[i])
-        if own + q[i] > others.min():
+        action = flat // stride % m
+        start = flat - action * stride
+        line = game.costs[i, start:start + m * stride:stride].copy()
+        own = line[action]
+        line[action] = math.inf  # the line's minimum is now over the other actions
+        if own + q[i] > line.min():
             return False
     return True
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -169,9 +170,9 @@ class JointDistribution:
     def grid(self) -> np.ndarray:
         return self.mass.reshape(self.action_counts)
 
-    @property
+    @cached_property
     def support(self) -> np.ndarray:
-        """Flat indices carrying strictly positive mass."""
+        """Flat indices carrying strictly positive mass, ascending (computed once)."""
         return np.nonzero(self.mass > 0.0)[0]
 
     def prob(self, coords) -> float:
@@ -183,32 +184,36 @@ class JointDistribution:
         return float(sliced.sum())
 
 
-def incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
-    """One agent's unnormalized deviation gains under z, and its recommendation marginals.
+def incentive_gains(game: FiniteGame, z: JointDistribution):
+    """Every agent's unnormalized deviation gains under z, and its recommendation marginals.
 
-    Returns ``(gains, marginals)``. ``gains[rec, alt]`` is the sum over the
-    other agents' actions x of z(rec, x) * (J_i(rec, x) - J_i(alt, x)),
-    computed over the support of z only, so a point mass costs O(m_i); a
-    positive entry means switching from ``rec`` to ``alt`` pays off in
-    expectation. It is affine in z, the form the equilibrium LP rows take;
-    dividing row ``rec`` by ``marginals[rec]`` gives the expected gain
-    conditioned on the recommendation. A zero-marginal row is all zeros (its
-    constraints are vacuous) and the diagonal is zero.
+    Returns one ``(gains, marginals)`` pair per agent. For agent i,
+    ``gains[rec, alt]`` is the sum over the other agents' actions x of
+    z(rec, x) * (J_i(rec, x) - J_i(alt, x)), computed over the support of z
+    only, so a point mass costs O(sum_i m_i); a positive entry means
+    switching from ``rec`` to ``alt`` pays off in expectation. It is affine
+    in z, the form the equilibrium LP rows take; dividing row ``rec`` by
+    ``marginals[rec]`` gives the expected gain conditioned on the
+    recommendation. A zero-marginal row is all zeros (its constraints are
+    vacuous) and the diagonal is zero. One call covers every agent and reads
+    the support of z once.
     """
     if z.action_counts != game.action_counts:
         raise ValueError("distribution does not match the game's action space")
-    counts = game.action_counts
-    m = counts[agent]
-    stride = joint_space_size(counts[agent + 1:])
     support = z.support
     weight = z.mass[support]
-    own = support // stride % m
-    cost = game.costs[agent]
-    # swapped[k, alt]: agent i's cost at support point k with its own action set to alt
-    swapped = cost[(support - own * stride)[:, None] + stride * np.arange(m)]
-    gains = np.zeros((m, m))
-    np.add.at(gains, own, weight[:, None] * (cost[support][:, None] - swapped))
-    return gains, np.bincount(own, weights=weight, minlength=m)
+    out = []
+    stride = game.num_joint
+    for i, m in enumerate(game.action_counts):
+        stride //= m
+        own = support // stride % m
+        cost = game.costs[i]
+        # swapped[k, alt]: agent i's cost at support point k with its own action set to alt
+        swapped = cost[(support - own * stride)[:, None] + stride * np.arange(m)]
+        gains = np.zeros((m, m))
+        np.add.at(gains, own, weight[:, None] * (cost[support][:, None] - swapped))
+        out.append((gains, np.bincount(own, weights=weight, minlength=m)))
+    return out
 
 
 # --- JSON serialization -----------------------------------------------------

@@ -41,6 +41,7 @@ from .game import (
     JointDistribution,
     flat_index,
     incentive_gains,
+    unflatten,
 )
 from .lp import LpStatus, SolverFailureError, load_highs
 from .uncertainty import UncertaintyModel, substream
@@ -263,10 +264,7 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
         raise ValueError(f"expected {game.num_agents} etas, got {len(etas)}")
 
     final = list(rec)
-    for i, m in enumerate(game.action_counts):
-        if m == 1:
-            continue
-        gains, marginals = incentive_gains(game, z, i)
+    for i, (gains, marginals) in enumerate(incentive_gains(game, z)):
         row = gains[rec[i]]
         if marginals[rec[i]] > 0.0:  # a zero-marginal row is all zeros: vacuous
             row = row / marginals[rec[i]]
@@ -347,8 +345,10 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     recommendation distribution (this step alone is timed and held to the
     per-solve budget: the selection LP solve checks it after assembly and
     hands the remainder to the solver as its time limit), sample a
-    recommendation, simulate deviations under the per-agent perturbations,
-    and price the resulting joint action with the coordinator's cost table.
+    recommendation (a point mass needs no draw: its stream, keyed to this
+    trial and method alone, is left unread), simulate deviations under the
+    per-agent perturbations, and price the resulting joint action with the
+    coordinator's cost table.
     Per-trial failures, running out of memory included, become statuses,
     never exceptions.
     """
@@ -392,9 +392,12 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     if status != STATUS_OK:
         return base
 
-    rec_rng = substream(config.master_seed, _STREAM_RECOMMEND, trial_index,
-                        num_flights, _METHOD_IDS[method])
-    recommendation = sample_recommendation(z, rec_rng)
+    if z.support.size == 1:
+        recommendation = unflatten(int(z.support[0]), game.action_counts)
+    else:
+        rec_rng = substream(config.master_seed, _STREAM_RECOMMEND, trial_index,
+                            num_flights, _METHOD_IDS[method])
+        recommendation = sample_recommendation(z, rec_rng)
     final_action, deviated = simulate_deviation(game, z, recommendation, etas)
     if method == METHOD_FCFS:
         # FCFS is the uncoordinated operational baseline: airlines execute

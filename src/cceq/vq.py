@@ -92,7 +92,7 @@ class VQInstance:
         object.__setattr__(self, "service_rates", rates)
         object.__setattr__(self, "initial_queues", queues)
 
-        flights = tuple(self.flights)
+        flights = tuple(sorted(self.flights, key=lambda f: f.id))  # the cost folds' order
         ids = [f.id for f in flights]
         if len(set(ids)) != len(ids):
             raise ValueError("flight ids must be unique")
@@ -227,55 +227,79 @@ def build_game(instance: VQInstance):
 
     Returns ``(game, sys_cost)`` where agent i's cost table is its
     class-weighted fleet delay and ``sys_cost[k]`` is the unweighted total at
-    flat joint index k. Tables are built on the full action grid, vectorized
-    per flight; a joint space above ``JOINT_SPACE_CAP`` raises
+    flat joint index k. A joint space above ``JOINT_SPACE_CAP`` raises
     :class:`BudgetExceededError`.
+
+    A flight's cost depends on the other airlines only through the runway
+    state, the number of flights released on each runway. So each flight is
+    priced once per (held or released, runway state), each airline's costs
+    are folded over its flights on an (own action, runway state) table, and
+    one gather per airline fills its joint table; the system cost is folded
+    on the joint grid, one index, one gather and one add per flight, in
+    buffers allocated once per call. Both folds run in
+    ascending flight id with the same float operations as pricing every
+    joint action flight by flight, so the tables are bit-identical to that.
     """
     counts = instance.action_counts
     check_joint_space(counts)
-    shape = counts
-    n = instance.num_airlines
+    n = len(counts)
+    flights = instance.flights
+    epoch = instance.epoch_minutes
+    runway = np.array([f.runway for f in flights], dtype=np.intp)
+    radix = np.bincount(runway, minlength=instance.num_runways) + 1
+    strides = np.cumprod(np.concatenate(([1], radix[:-1])))
+    num_states = int(np.prod(radix))
+    # pushbacks[r, s]: flights released on runway r in runway state s
+    pushbacks = (np.arange(num_states) // strides[:, None] % radix[:, None]).astype(float)
+    congestion = np.maximum(0.0, sum(pushbacks) - instance.congestion_threshold) ** 2
+    delay = ((np.array(instance.initial_queues)[:, None] + pushbacks)
+             / np.array(instance.service_rates)[:, None] * epoch)
 
-    def along_axis(vector, axis):
-        out_shape = [1] * n
-        out_shape[axis] = vector.size
-        return vector.reshape(out_shape)
+    # cost[j, released, s]: flight j's cost, held or released, in runway
+    # state s; a held flight waits out the epoch and is that much later
+    held = [_lateness_term(instance, f.lateness + epoch) + epoch for f in flights]
+    lateness = [_lateness_term(instance, f.lateness) for f in flights]
+    cost = np.empty((len(flights), 2, num_states))
+    cost[:, 0] = np.array(held)[:, None] + congestion
+    cost[:, 1] = np.array(lateness)[:, None] + delay[runway] + congestion
+    weights = np.array([instance.class_weights[f.aircraft_class] for f in flights])
+    weighted = weights[:, None, None] * cost
 
-    # per-runway pushback counts and total releases over the whole grid
-    per_runway = []
-    for r in range(instance.num_runways):
-        acc = np.zeros(shape)
-        for i, owned in enumerate(instance.airlines):
-            local = np.zeros(counts[i])
-            actions = np.arange(counts[i])
-            for bit, fid in enumerate(owned):
-                if instance.flight_by_id[fid].runway == r:
-                    local += (actions >> bit) & 1
-            acc = acc + along_axis(local, i)
-        per_runway.append(acc)
-    total_released = sum(per_runway)
-    congestion = np.maximum(0.0, total_released - instance.congestion_threshold) ** 2
-    delay_by_runway = [
-        (instance.initial_queues[r] + per_runway[r]) / instance.service_rates[r]
-        * instance.epoch_minutes
-        for r in range(instance.num_runways)
-    ]
+    # bits[i][b, a]: whether agent i's action a releases its b-th flight;
+    # state[k]: the runway state at flat joint index k
+    bits = [(np.arange(m) >> np.arange(len(owned))[:, None]) & 1
+            for m, owned in zip(counts, instance.airlines)]
+    state = np.zeros(counts, dtype=np.intp)
+    for i, owned in enumerate(instance.airlines):
+        steps = strides[[instance.flight_by_id[fid].runway for fid in owned]]
+        state += _along_axis((bits[i] * steps[:, None]).sum(axis=0), i, n)
+    # per gather: the table entry read at each joint index; the indices are
+    # in range, and mode="clip" lets np.take write to `out` unbuffered
+    index = np.empty_like(state)
+    gathered = np.empty(state.size)
 
-    agent_costs = [np.zeros(shape) for _ in range(n)]
-    sys_costs = np.zeros(shape)
-    for flight in instance.flights:  # ascending id: a flight-by-flight total's order
+    # tables[i][a, s]: agent i's cost in runway state s; its b-th flight
+    # (ascending id) is folded into rows [0, 2^b) and copied, released, into
+    # rows [2^b, 2^(b+1))
+    tables = [np.zeros((m, num_states)) for m in counts]
+    sys_cost = np.zeros(state.size)
+    for j, flight in enumerate(flights):  # ascending id, as VQInstance sorts them
         i, bit = instance.owner_of[flight.id]
-        released = along_axis(((np.arange(counts[i]) >> bit) & 1).astype(bool), i)
-        lat_released = _lateness_term(instance, flight.lateness)
-        lat_held = _lateness_term(instance, flight.lateness + instance.epoch_minutes)
-        cost = np.where(released, lat_released + delay_by_runway[flight.runway],
-                        lat_held + instance.epoch_minutes) + congestion
-        agent_costs[i] += instance.class_weights[flight.aircraft_class] * cost
-        sys_costs += cost
+        low = tables[i][:1 << bit]
+        np.add(low, weighted[j, 1], out=tables[i][1 << bit:2 << bit])
+        low += weighted[j, 0]
+        np.add(state, _along_axis(num_states * bits[i][bit], i, n), out=index)
+        sys_cost += np.take(cost[j].reshape(-1), index.reshape(-1), out=gathered, mode="clip")
 
-    game = FiniteGame(
-        action_counts=counts,
-        costs=np.stack([grid.reshape(-1) for grid in agent_costs]),
-    )
-    return game, sys_costs.reshape(-1)
+    costs = np.empty((n, state.size))
+    for i, table in enumerate(tables):
+        np.add(state, _along_axis(num_states * np.arange(counts[i]), i, n), out=index)
+        np.take(table.reshape(-1), index.reshape(-1), out=costs[i], mode="clip")
+    return FiniteGame(action_counts=counts, costs=costs), sys_cost
 
+
+def _along_axis(vector: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``vector`` as a view spanning ``axis`` of an ``ndim``-dimensional grid."""
+    shape = [1] * ndim
+    shape[axis] = vector.size
+    return vector.reshape(shape)

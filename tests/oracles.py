@@ -8,6 +8,8 @@ dense view of the package's column-wise LPs, the incentive gains as one
 dense matrix product over the joint space, the LP form of the
 reduced-rank program, and the airport scenario's cost model evaluated one
 joint action and one flight at a time (the reference for ``build_game``).
+``build_game``'s earlier lowering on the whole action grid, flight by
+flight, is kept as its bit-exact reference.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from scipy.stats import norm
 
 from cceq import lp as lpmod
 from cceq.equilibrium import RrSolution
-from cceq.game import BudgetExceededError, FiniteGame, JointDistribution, flat_index
+from cceq.game import (
+    BudgetExceededError,
+    FiniteGame,
+    JointDistribution,
+    check_joint_space,
+    flat_index,
+)
 from cceq.lp import LinearProgram, LpStatus
 
 
@@ -307,3 +315,54 @@ def airline_cost(instance, joint_action, airline: int) -> float:
 def system_cost(instance, joint_action) -> float:
     """Unweighted total delay cost over all flights."""
     return sum(flight_delay_cost(instance, joint_action, f.id) for f in instance.flights)
+
+
+def grid_build_game(instance):
+    """``build_game`` vectorized on the whole action grid: per-runway release
+    counts, then each flight's cost on every joint action, folded into its
+    owner's table and the system total in ascending flight id."""
+    counts = instance.action_counts
+    check_joint_space(counts)
+    n = instance.num_airlines
+
+    def along_axis(vector, axis):
+        out_shape = [1] * n
+        out_shape[axis] = vector.size
+        return vector.reshape(out_shape)
+
+    def lateness_term(lateness):
+        return lateness ** 2 if lateness > instance.lateness_threshold else lateness
+
+    per_runway = []
+    for r in range(instance.num_runways):
+        acc = np.zeros(counts)
+        for i, owned in enumerate(instance.airlines):
+            local = np.zeros(counts[i])
+            actions = np.arange(counts[i])
+            for bit, fid in enumerate(owned):
+                if instance.flight_by_id[fid].runway == r:
+                    local += (actions >> bit) & 1
+            acc = acc + along_axis(local, i)
+        per_runway.append(acc)
+    total_released = sum(per_runway)
+    congestion = np.maximum(0.0, total_released - instance.congestion_threshold) ** 2
+    delay_by_runway = [
+        (instance.initial_queues[r] + per_runway[r]) / instance.service_rates[r]
+        * instance.epoch_minutes
+        for r in range(instance.num_runways)
+    ]
+
+    agent_costs = [np.zeros(counts) for _ in range(n)]
+    sys_costs = np.zeros(counts)
+    for flight in instance.flights:
+        i, bit = instance.owner_of[flight.id]
+        released = along_axis(((np.arange(counts[i]) >> bit) & 1).astype(bool), i)
+        lat_released = lateness_term(flight.lateness)
+        lat_held = lateness_term(flight.lateness + instance.epoch_minutes)
+        cost = np.where(released, lat_released + delay_by_runway[flight.runway],
+                        lat_held + instance.epoch_minutes) + congestion
+        agent_costs[i] += instance.class_weights[flight.aircraft_class] * cost
+        sys_costs += cost
+
+    game = FiniteGame(counts, np.stack([grid.reshape(-1) for grid in agent_costs]))
+    return game, sys_costs.reshape(-1)

@@ -443,7 +443,7 @@ def test_assemble_rows_consistent_with_check_margins():
         mass = rng.dirichlet(np.ones(game.num_joint))
         z = JointDistribution(mass, game.action_counts)
         margins = eq_margins(game, mass, unc.sigmas, alpha)
-        kernel = [incentive_gains(game, z, i) for i in range(game.num_agents)]
+        kernel = incentive_gains(game, z)
         for row, (i, rec, alt) in zip(rows, canonical_ids(game), strict=True):
             marginal = z.marginal(i, rec)
             gains, marginals = kernel[i]

@@ -59,9 +59,9 @@ def test_flat_unflatten_roundtrip_full_space(counts):
 def test_deviation_cost_intersection_game(intersection_game):
     # agent 1 of the paper's table is index 0 here; under a point mass the
     # gain is the plain cost change J_0(rec, x_1) - J_0(alt, x_1)
-    gains, _ = incentive_gains(intersection_game, JointDistribution.point_mass((0, 1), (2, 2)), 0)
+    gains, _ = incentive_gains(intersection_game, JointDistribution.point_mass((0, 1), (2, 2)))[0]
     assert gains[0, 1] == pytest.approx(-2.0)
-    gains, _ = incentive_gains(intersection_game, JointDistribution.point_mass((1, 1), (2, 2)), 0)
+    gains, _ = incentive_gains(intersection_game, JointDistribution.point_mass((1, 1), (2, 2)))[0]
     assert gains[1, 0] == pytest.approx(2.0)
 
 
@@ -70,32 +70,37 @@ def test_incentive_gains_diagonal_and_validation(intersection_game):
     for _ in range(20):
         game = FiniteGame((2, 3, 2), rng.normal(size=(3, 12)))
         z = JointDistribution(rng.dirichlet(np.ones(12)), (2, 3, 2))
-        for agent in range(3):
-            assert np.all(np.diag(incentive_gains(game, z, agent)[0]) == 0.0)
+        for gains, _ in incentive_gains(game, z):
+            assert np.all(np.diag(gains) == 0.0)
     with pytest.raises(ValueError):
-        incentive_gains(intersection_game, JointDistribution(np.ones(3) / 3, (3,)), 0)
+        incentive_gains(intersection_game, JointDistribution(np.ones(3) / 3, (3,)))
 
 
 def test_incentive_gains_matches_dense_oracle():
+    # one call covers every agent: exact on point masses, and on random
+    # multi-support z equal up to the oracle's different summation order
     rng = np.random.default_rng(13)
     for _ in range(40):
         game = random_game(rng, max_agents=4, max_actions=4)
         counts = game.action_counts
         for flat in rng.choice(game.num_joint, size=3, replace=False):
             z = JointDistribution.point_mass(unflatten(flat, counts), counts)
-            for agent in range(game.num_agents):
-                got, want = incentive_gains(game, z, agent), dense_incentive_gains(game, z, agent)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            got = incentive_gains(game, z)
+            assert len(got) == game.num_agents
+            for agent, (gains, marginals) in enumerate(got):
+                want = dense_incentive_gains(game, z, agent)
+                assert gains.shape == (counts[agent], counts[agent])
+                assert np.array_equal(gains, want[0]) and np.array_equal(marginals, want[1])
         for _ in range(3):
             support = rng.choice(game.num_joint, size=int(rng.integers(2, game.num_joint + 1)),
                                  replace=False)
             mass = np.zeros(game.num_joint)
             mass[support] = rng.dirichlet(np.ones(support.size))
             z = JointDistribution(mass, counts)
-            for agent in range(game.num_agents):
-                got, want = incentive_gains(game, z, agent), dense_incentive_gains(game, z, agent)
-                assert np.allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
-                assert np.allclose(got[1], want[1], rtol=1e-12, atol=1e-12)
+            for agent, (gains, marginals) in enumerate(incentive_gains(game, z)):
+                want = dense_incentive_gains(game, z, agent)
+                assert np.allclose(gains, want[0], rtol=1e-12, atol=1e-12)
+                assert np.allclose(marginals, want[1], rtol=1e-12, atol=1e-12)
 
 
 def test_deviation_cost_antisymmetry():
@@ -109,14 +114,14 @@ def test_deviation_cost_antisymmetry():
         a, b = (int(x) for x in rng.choice(counts[agent], size=2, replace=False))
         coords = [int(rng.integers(m)) for m in counts]
         coords[agent] = a
-        fwd = incentive_gains(game, JointDistribution.point_mass(coords, counts), agent)[0][a, b]
+        fwd = incentive_gains(game, JointDistribution.point_mass(coords, counts))[agent][0][a, b]
         coords[agent] = b
-        back = incentive_gains(game, JointDistribution.point_mass(coords, counts), agent)[0][b, a]
+        back = incentive_gains(game, JointDistribution.point_mass(coords, counts))[agent][0][b, a]
         assert fwd == pytest.approx(-back, abs=1e-9)
 
 
 def test_conditional_expected_deviation_intersection_game(intersection_game, half_device):
-    gains, marginals = incentive_gains(intersection_game, half_device, 0)
+    gains, marginals = incentive_gains(intersection_game, half_device)[0]
     assert np.array_equal(marginals, [0.5, 0.5])
     assert gains[0, 1] / marginals[0] == pytest.approx(-2.0)
     assert gains[1, 0] / marginals[1] == pytest.approx(-4.0)
@@ -124,7 +129,7 @@ def test_conditional_expected_deviation_intersection_game(intersection_game, hal
 
 def test_conditional_zero_marginal_is_vacuous(intersection_game):
     z = JointDistribution(np.array([0.0, 0.0, 0.5, 0.5]), (2, 2))  # never recommends G to agent 0
-    gains, marginals = incentive_gains(intersection_game, z, 0)
+    gains, marginals = incentive_gains(intersection_game, z)[0]
     assert marginals[0] == 0.0
     assert np.array_equal(gains[0], [0.0, 0.0])
 
@@ -139,9 +144,9 @@ def test_unnormalized_is_linear_in_z(intersection_game):
         z2 = JointDistribution(m2, (2, 2))
         mix = JointDistribution(lam * m1 + (1 - lam) * m2, (2, 2))
         for agent in (0, 1):
-            blended = lam * incentive_gains(intersection_game, z1, agent)[0] \
-                + (1 - lam) * incentive_gains(intersection_game, z2, agent)[0]
-            direct = incentive_gains(intersection_game, mix, agent)[0]
+            blended = lam * incentive_gains(intersection_game, z1)[agent][0] \
+                + (1 - lam) * incentive_gains(intersection_game, z2)[agent][0]
+            direct = incentive_gains(intersection_game, mix)[agent][0]
             assert np.allclose(direct, blended, rtol=0.0, atol=1e-9)
 
 

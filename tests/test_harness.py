@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cceq
-from cceq.equilibrium import solve_full_ccce
+from cceq.equilibrium import sample_recommendation, solve_full_ccce
 from cceq.game import JointDistribution, flat_index
 from cceq.harness import (
     CSV_COLUMNS,
@@ -205,13 +205,49 @@ def test_perturbations_are_drawn_once_per_trial(tmp_path, monkeypatch):
         paths.append(path)
         return substream(*path)
 
+    drawn = []
+
+    def sampled(z, rng):
+        drawn.append(z.support.size)
+        return sample_recommendation(z, rng)
+
     monkeypatch.setattr(hmod, "substream", counted)
+    monkeypatch.setattr(hmod, "sample_recommendation", sampled)
     config = base_config(num_trials=2, flight_counts=(6,), methods=METHODS,
                          out_path=str(tmp_path / "results.csv"))
     records = run_experiment(config).records
     eta_paths = [p for p in paths if p[1] == hmod._STREAM_ETA]
     assert eta_paths == [(12, hmod._STREAM_ETA, t, 6, i) for t in range(2) for i in range(3)]
-    assert len(paths) - len(eta_paths) == sum(r.status == STATUS_OK for r in records)
+    # the other streams draw recommendations, one per ok row whose
+    # distribution has more than one point: only full-ccce's can
+    full_ok = {(r.trial_index, hmod._METHOD_IDS[r.method]) for r in records
+               if r.status == STATUS_OK and r.method == "full-ccce"}
+    rec_paths = [p for p in paths if p[1] != hmod._STREAM_ETA]
+    assert all(p[:2] == (12, hmod._STREAM_RECOMMEND) and p[3] == 6 for p in rec_paths)
+    assert {(p[2], p[4]) for p in rec_paths} <= full_ok
+    assert len(rec_paths) == len(drawn) and all(size > 1 for size in drawn)
+
+
+def test_point_mass_recommendation_is_the_draw_it_skips(monkeypatch):
+    # fcfs and the rr methods recommend a point mass: run_trial takes its
+    # point without a draw, and a draw from the row's own stream would have
+    # returned the same point
+    import cceq.harness as hmod
+    streams = []
+    monkeypatch.setattr(hmod, "substream", lambda *path: streams.append(path) or substream(*path))
+    config = base_config(sigma=1.0, num_trials=3)
+    unc = UncertaintyModel.gaussian(1.0, 3)
+    for trial in range(3):
+        lowered = hmod.lower_trial(config, trial, 6)
+        for method in ("fcfs", "rr-nominal", "rr-ccce"):
+            streams.clear()
+            record = run_trial(config, trial, method, 6, lowered)
+            assert record.status == STATUS_OK and streams == []
+            z, _, _ = hmod._solve_for_method(method, config, lowered.instance, lowered.game,
+                                             lowered.sys_cost, unc, deadline=None)
+            assert z.support.size == 1
+            rng = substream(12, hmod._STREAM_RECOMMEND, trial, 6, hmod._METHOD_IDS[method])
+            assert record.recommendation == sample_recommendation(z, rng)
 
 
 def test_program_too_large_for_memory_is_refused_before_assembly(monkeypatch):

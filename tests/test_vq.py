@@ -17,6 +17,7 @@ from oracles import (
     airline_cost,
     congestion_penalty,
     flight_delay_cost,
+    grid_build_game,
     pushback_counts,
     queue_delay,
     released_flights,
@@ -214,6 +215,38 @@ def test_build_game_random_instance_cross_check():
         for i in range(4):
             assert game.costs[i, flat] == pytest.approx(airline_cost(inst, coords, i), abs=1e-9)
         assert sys_cost[flat] == pytest.approx(system_cost(inst, coords), abs=1e-9)
+
+
+@pytest.mark.parametrize("scenario", [
+    {},
+    dict(service_rates=(2.0, 1.5, 3.0), initial_queues=(3, 0, 5)),
+    dict(class_weights={"heavy": 1.7, "medium": 0.3, "small": 2.2}),
+    dict(congestion_threshold=1, lateness_threshold=4.0, epoch_minutes=2.5),
+])
+def test_build_game_equals_the_grid_lowering_bit_for_bit(scenario):
+    # runway-state tables must reproduce every float of the flight-by-flight
+    # fold on the whole grid, for the agents' costs and the system cost
+    for master_seed in range(3):
+        for num_flights in range(5, 15):
+            for trial in range(2):
+                seed = np.random.SeedSequence((master_seed, 0, trial, num_flights))
+                inst = generate_instance(num_flights, 5, seed=seed, **scenario)
+                game, sys_cost = build_game(inst)
+                want_game, want_sys = grid_build_game(inst)
+                assert game.action_counts == want_game.action_counts
+                assert np.array_equal(game.costs, want_game.costs)
+                assert np.array_equal(sys_cost, want_sys)
+
+
+def test_flights_are_kept_in_id_order():
+    # the cost folds run in ascending flight id, however the flights are given
+    inst = generate_instance(9, 3, seed=4)
+    shuffled = VQInstance(inst.service_rates, inst.initial_queues, inst.flights[::-1],
+                          inst.airlines)
+    assert [f.id for f in shuffled.flights] == list(range(9))
+    game, sys_cost = build_game(shuffled)
+    want_game, want_sys = grid_build_game(inst)
+    assert np.array_equal(game.costs, want_game.costs) and np.array_equal(sys_cost, want_sys)
 
 
 def test_build_game_budget(monkeypatch):
