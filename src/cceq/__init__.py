@@ -17,10 +17,9 @@ from .game import (
     save_game,
     unflatten,
 )
-from .uncertainty import UncertaintyModel, substream
+from .uncertainty import substream, tightenings
 from .lp import LinearProgram, LpSolution, LpStatus, SolverFailureError, solve
 from .equilibrium import (
-    CcPneSet,
     EquilibriumResult,
     RrSolution,
     assemble_ce_constraints,
@@ -29,7 +28,6 @@ from .equilibrium import (
     is_cc_pne,
     sample_recommendation,
     solve_full_ccce,
-    solve_nominal_ce,
     solve_reduced_rank,
 )
 from .vq import VQInstance, build_game, fcfs_profile, generate_instance

@@ -24,10 +24,10 @@ from .equilibrium import (
     enumerate_cc_pne,
     solve_full_ccce,
 )
-from .game import JointDistribution, load_game
+from .game import JointDistribution, load_game, unflatten
 from .harness import METHODS, ExperimentConfig, format_summary, run_experiment, summarize_paired
 from .lp import LpStatus
-from .uncertainty import UncertaintyModel
+from .uncertainty import tightenings
 
 __all__ = ["main"]
 
@@ -115,14 +115,14 @@ def _load_distribution(path: Path, action_counts) -> JointDistribution:
 
 def _cmd_check(args) -> int:
     game = load_game(args.game_file)
-    unc = UncertaintyModel.gaussian(_parse_sigma(args.sigma), game.num_agents)
+    q = tightenings(_parse_sigma(args.sigma), args.alpha, game.num_agents)
     if args.dist_file is not None:
         z = _load_distribution(args.dist_file, game.action_counts)
-        feasible, worst = check_ccce_feasibility(game, z, unc, args.alpha)
+        feasible, worst = check_ccce_feasibility(game, z, q)
         print(f"feasible: {'true' if feasible else 'false'}")
         print(f"worst margin: {worst:.10g}")
     else:
-        result = solve_full_ccce(game, unc, args.alpha, np.zeros(game.num_joint))
+        result = solve_full_ccce(game, q, np.zeros(game.num_joint))
         feasible = result.status == LpStatus.OPTIMAL
         print(f"ccce polytope nonempty: {'true' if feasible else 'false'}")
     return 0
@@ -130,11 +130,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     game = load_game(args.game_file)
-    unc = UncertaintyModel.gaussian(_parse_sigma(args.sigma), game.num_agents)
-    pne = enumerate_cc_pne(game, unc, args.alpha, limit=args.limit)
-    for profile in pne.profiles:
-        print(" ".join(str(c) for c in profile))
-    print(f"found {len(pne)} CC-PNE at alpha={pne.alpha_used}")
+    q = tightenings(_parse_sigma(args.sigma), args.alpha, game.num_agents)
+    flats = enumerate_cc_pne(game, q, limit=args.limit)
+    for flat in flats:
+        print(" ".join(str(c) for c in unflatten(int(flat), game.action_counts)))
+    print(f"found {len(flats)} CC-PNE at alpha={args.alpha}")
     return 0
 
 

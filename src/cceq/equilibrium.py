@@ -8,8 +8,10 @@ reduced-rank program over their convex hull, and sampling recommendations.
 
 Chance constraints are never Monte-Carlo estimated here: each probabilistic
 incentive constraint is replaced by its exact deterministic equivalent, the
-nominal margin tightened by the perturbation's alpha-quantile. With zero
-perturbation every operation reduces exactly to its nominal counterpart.
+nominal margin tightened by the acting agent's perturbation alpha-quantile
+q_i. Every function takes the vector q (see
+:func:`cceq.uncertainty.tightenings`); with q = 0 each reduces exactly to its
+nominal counterpart.
 """
 
 from __future__ import annotations
@@ -33,10 +35,8 @@ from .game import (
     unflatten,
 )
 from .lp import LinearProgram, LpStatus, SolverFailureError
-from .uncertainty import UncertaintyModel
 
 __all__ = [
-    "CcPneSet",
     "EquilibriumResult",
     "FEASIBILITY_TOL",
     "RrSolution",
@@ -47,7 +47,6 @@ __all__ = [
     "is_cc_pne",
     "sample_recommendation",
     "solve_full_ccce",
-    "solve_nominal_ce",
     "solve_reduced_rank",
 ]
 
@@ -70,24 +69,6 @@ _CGROUP_V1_NO_LIMIT = 9223372036854771712
 _TOURNAMENT_MIN_JOINT = 2048
 
 
-@dataclass(frozen=True, eq=False)
-class CcPneSet:
-    """CC-PNE profiles found at a given confidence level, kept as ascending
-    flat indices into the joint action space."""
-
-    flats: np.ndarray
-    action_counts: tuple[int, ...]
-    alpha_used: float
-
-    def __len__(self) -> int:
-        return len(self.flats)
-
-    @property
-    def profiles(self) -> tuple[tuple[int, ...], ...]:
-        """The profiles as coordinate tuples, built on each access."""
-        return tuple(unflatten(int(f), self.action_counts) for f in self.flats)
-
-
 @dataclass(frozen=True)
 class EquilibriumResult:
     """Outcome of a CE / CC-CE selection solve."""
@@ -107,16 +88,15 @@ class RrSolution:
     objective: float | None = None
 
 
-def _quantiles(game: FiniteGame, unc: UncertaintyModel, alpha: float) -> np.ndarray:
-    """Per-agent tightenings: each agent's perturbation alpha-quantile."""
-    if unc.num_agents != game.num_agents:
-        raise ValueError(
-            f"uncertainty model covers {unc.num_agents} agents, game has {game.num_agents}"
-        )
-    return unc.quantiles(alpha)
+def _tightenings(game: FiniteGame, q) -> np.ndarray:
+    """``q`` as a float array holding one finite tightening per agent."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (game.num_agents,) or not np.isfinite(q).all():
+        raise ValueError(f"need one finite tightening per agent, got {q!r}")
+    return q
 
 
-def assemble_ce_constraints(game: FiniteGame, quantiles) -> tuple[np.ndarray, np.ndarray]:
+def assemble_ce_constraints(game: FiniteGame, q) -> tuple[np.ndarray, np.ndarray]:
     """Constraint columns of the (tightened) CE selection program.
 
     Row (i, rec, alt) encodes, for agent i, recommendation rec and
@@ -127,8 +107,8 @@ def assemble_ce_constraints(game: FiniteGame, quantiles) -> tuple[np.ndarray, np
     i.e. ``incentive_gains(game, z)[i][0][rec, alt] + q_i * marginal(rec) <= 0``:
     the deterministic equivalent of the conditional constraint whenever the
     recommendation's marginal is positive, and vacuous (0 <= 0) when it is
-    zero. ``quantiles`` holds one tightening q_i per agent (zeros for the
-    nominal program). Rows are ordered by agent, then rec, then alt, and
+    zero. ``q`` holds one tightening q_i per agent (zeros for the nominal
+    program). Rows are ordered by agent, then rec, then alt, and
     number R = sum_i m_i * (m_i - 1); row R is the probability-simplex row.
 
     Returns ``(index, value)``, each of shape (num_joint, sum_i (m_i - 1) + 1):
@@ -136,9 +116,7 @@ def assemble_ce_constraints(game: FiniteGame, quantiles) -> tuple[np.ndarray, np
     each alt != x_i in ascending order, then a 1 in the simplex row, so row
     indices ascend within every column.
     """
-    q = np.asarray(quantiles, dtype=float)
-    if q.shape != (game.num_agents,):
-        raise ValueError(f"need one tightening per agent, got shape {q.shape}")
+    q = _tightenings(game, q)
     counts = game.action_counts
     width = sum(m - 1 for m in counts) + 1
     index = np.empty((game.num_joint, width), dtype=np.int32)
@@ -235,7 +213,7 @@ def _available_memory_bytes() -> float:
     return available
 
 
-def ccce_program(game: FiniteGame, quantiles, sys_cost) -> LinearProgram:
+def ccce_program(game: FiniteGame, q, sys_cost) -> LinearProgram:
     """The selection LP: minimize expected system cost over the tightened CE polytope.
 
     Raises MemoryError, before anything is allocated, when the program is not
@@ -251,7 +229,7 @@ def ccce_program(game: FiniteGame, quantiles, sys_cost) -> LinearProgram:
     if needed > available:
         raise MemoryError(f"selection program with {nonzeros} nonzeros needs about "
                           f"{needed / 2**20:.0f} MB; {available / 2**20:.0f} MB available")
-    index, value = assemble_ce_constraints(game, quantiles)
+    index, value = assemble_ce_constraints(game, q)
     num_incentive = sum(m * (m - 1) for m in game.action_counts)
     row_upper = np.append(np.zeros(num_incentive), 1.0)
     row_lower = np.append(np.full(num_incentive, -np.inf), 1.0)
@@ -266,9 +244,23 @@ def ccce_program(game: FiniteGame, quantiles, sys_cost) -> LinearProgram:
     )
 
 
-def _solve_selection(game: FiniteGame, quantiles, sys_cost,
-                     deadline: float | None = None) -> EquilibriumResult:
-    solution = lpmod.solve(ccce_program(game, quantiles, sys_cost), deadline=deadline)
+def solve_full_ccce(game: FiniteGame, q, sys_cost,
+                    deadline: float | None = None) -> EquilibriumResult:
+    """Minimize expected system cost over the chance-constrained CE polytope.
+
+    Every incentive row of agent i is tightened by ``q[i]``; q = 0 gives the
+    nominal CE polytope. The returned distribution carries no mass below
+    ``MASS_TOL`` and has passed :func:`check_ccce_feasibility`; one that
+    fails it raises :class:`SolverFailureError`, as do other LP solver
+    failures. A program not expected to fit in memory raises MemoryError
+    before it is assembled. Infeasibility of the tightened polytope is
+    reported through the result status. ``deadline``, a
+    ``time.perf_counter()`` value, bounds the solve: it is checked once the
+    program is assembled, the time left becomes the solver's time limit, and
+    passing it raises ``TimeoutError``.
+    """
+    q = _tightenings(game, q)
+    solution = lpmod.solve(ccce_program(game, q, sys_cost), deadline=deadline)
     if solution.status == LpStatus.INFEASIBLE:
         return EquilibriumResult(LpStatus.INFEASIBLE)
     if solution.status != LpStatus.OPTIMAL:  # bounded feasible set; defensive
@@ -279,7 +271,7 @@ def _solve_selection(game: FiniteGame, quantiles, sys_cost,
     mass = np.where(solution.values < MASS_TOL, 0.0, solution.values)
     mass /= mass.sum()
     dist = JointDistribution(mass, game.action_counts)
-    worst = _worst_margin(game, dist, quantiles)
+    worst = _worst_margin(game, dist, q)
     if not worst <= FEASIBILITY_TOL:
         raise SolverFailureError(
             f"selection LP result fails the CC-CE check: worst margin {worst:.6g}"
@@ -287,52 +279,22 @@ def _solve_selection(game: FiniteGame, quantiles, sys_cost,
     return EquilibriumResult(LpStatus.OPTIMAL, dist, float(solution.objective_value))
 
 
-def solve_nominal_ce(game: FiniteGame, sys_cost) -> EquilibriumResult:
-    """Minimize expected system cost over the nominal CE polytope."""
-    return _solve_selection(game, np.zeros(game.num_agents), sys_cost)
-
-
-def solve_full_ccce(
-    game: FiniteGame, unc: UncertaintyModel, alpha: float, sys_cost,
-    deadline: float | None = None,
-) -> EquilibriumResult:
-    """Minimize expected system cost over the chance-constrained CE polytope.
-
-    Every incentive row is tightened by the alpha-quantile of the acting
-    agent's perturbation. The returned distribution carries no mass below
-    ``MASS_TOL`` and has passed :func:`check_ccce_feasibility`; one that
-    fails it raises :class:`SolverFailureError`, as do other LP solver
-    failures. A program not expected to fit in memory raises MemoryError
-    before it is assembled. Infeasibility of the tightened polytope is
-    reported through the result status. ``deadline``, a
-    ``time.perf_counter()`` value, bounds the solve: it is checked once the
-    program is assembled, the time left becomes the solver's time limit, and
-    passing it raises ``TimeoutError``.
-    """
-    return _solve_selection(game, _quantiles(game, unc, alpha), sys_cost, deadline)
-
-
-def _worst_margin(game: FiniteGame, z: JointDistribution, quantiles) -> float:
+def _worst_margin(game: FiniteGame, z: JointDistribution, q: np.ndarray) -> float:
     """Largest normalized tightened incentive margin over the constraints with
     positive recommendation marginal; -inf when there are none."""
     worst = -math.inf
     for i, (gains, marginals) in enumerate(incentive_gains(game, z)):
         positive = marginals > 0.0
-        margins = gains / np.where(positive, marginals, 1.0)[:, None] + quantiles[i]
+        margins = gains / np.where(positive, marginals, 1.0)[:, None] + q[i]
         margins[~positive, :] = -math.inf
         np.fill_diagonal(margins, -math.inf)
         worst = max(worst, float(margins.max()))
     return worst
 
 
-def check_ccce_feasibility(
-    game: FiniteGame,
-    z: JointDistribution,
-    unc: UncertaintyModel,
-    alpha: float,
-    tol: float = FEASIBILITY_TOL,
-) -> tuple[bool, float]:
-    """Check a distribution against every tightened incentive constraint.
+def check_ccce_feasibility(game: FiniteGame, z: JointDistribution, q,
+                           tol: float = FEASIBILITY_TOL) -> tuple[bool, float]:
+    """Check a distribution against every incentive constraint tightened by ``q``.
 
     Returns ``(feasible, worst)`` where ``worst`` is the maximum over
     constraints with positive recommendation marginal of the normalized
@@ -340,20 +302,20 @@ def check_ccce_feasibility(
     ``feasible`` means ``worst <= tol``. Zero-marginal constraints are
     vacuous and excluded from the maximum.
     """
-    worst = _worst_margin(game, z, _quantiles(game, unc, alpha))
+    worst = _worst_margin(game, z, _tightenings(game, q))
     return worst <= tol, worst
 
 
-def is_cc_pne(game: FiniteGame, profile, unc: UncertaintyModel, alpha: float) -> bool:
-    """Whether a pure profile is a CC-PNE at the given confidence level.
+def is_cc_pne(game: FiniteGame, profile, q) -> bool:
+    """Whether a pure profile is a CC-PNE under the tightenings ``q``.
 
     Deterministic equivalent check: for every agent and every alternative,
-    the nominal deviation margin plus the agent's alpha-quantile must be
+    the nominal deviation margin plus the agent's tightening q_i must be
     nonpositive, i.e. ``cost + q_i <= min over the other actions`` on the
     line of the agent's own actions through the profile. Costs
     sum_i (m_i - 1) comparisons.
     """
-    q = _quantiles(game, unc, alpha).tolist()
+    q = _tightenings(game, q).tolist()
     flat = flat_index(profile, game.action_counts)  # validates ranges
     stride = game.num_joint
     for i, m in enumerate(game.action_counts):
@@ -400,16 +362,12 @@ def _two_smallest(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo[0], second[0]
 
 
-def enumerate_cc_pne(
-    game: FiniteGame,
-    unc: UncertaintyModel,
-    alpha: float,
-    limit: int | None = None,
-) -> CcPneSet:
-    """Exhaustively enumerate CC-PNE profiles, in ascending flat-index order.
+def enumerate_cc_pne(game: FiniteGame, q, limit: int | None = None) -> np.ndarray:
+    """Exhaustively enumerate the CC-PNE under the tightenings ``q``: their
+    ascending flat indices into the joint action space.
 
-    An empty set is a valid result. ``limit`` truncates to the first matches
-    in enumeration order; a joint space larger than
+    An empty array is a valid result. ``limit``, if given, must be
+    nonnegative and truncates to the first matches; a joint space larger than
     :data:`cceq.game.JOINT_SPACE_CAP` raises :class:`BudgetExceededError`.
 
     Agent i passes at a profile iff ``cost + q_i <= min over its other
@@ -420,7 +378,9 @@ def enumerate_cc_pne(
     it does iff ``minimum + q_i <= runner-up``, a tied minimum being its own
     runner-up.
     """
-    q = _quantiles(game, unc, alpha).tolist()
+    q = _tightenings(game, q).tolist()
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit!r}")
     check_joint_space(game.action_counts)
     ok = None
     cost_ulp = None  # ulp of the largest cost magnitude, computed on first need
@@ -458,23 +418,24 @@ def enumerate_cc_pne(
     flats = np.nonzero(ok)[0] if ok is not None else np.arange(game.num_joint)
     if limit is not None:
         flats = flats[: int(limit)]
-    return CcPneSet(flats, game.action_counts, float(alpha))
+    return flats
 
 
-def solve_reduced_rank(game: FiniteGame, pne_set: CcPneSet, sys_cost) -> RrSolution:
-    """Minimize system cost over convex combinations of the given pure profiles.
+def solve_reduced_rank(game: FiniteGame, flats: np.ndarray, sys_cost) -> RrSolution:
+    """Minimize system cost over convex combinations of the pure profiles at
+    the ascending flat indices ``flats``, e.g. :func:`enumerate_cc_pne`'s.
 
     Closed form: all weight on the cheapest profile, ties broken toward the
-    lowest index. An empty profile set yields an infeasible result.
+    lowest index. No profile at all yields an infeasible result.
     """
-    if len(pne_set) == 0:
+    if len(flats) == 0:
         return RrSolution(LpStatus.INFEASIBLE)
-    values = np.asarray(sys_cost, dtype=float)[pne_set.flats]
+    values = np.asarray(sys_cost, dtype=float)[flats]
     best = int(np.argmin(values))  # first minimum: lowest-index tie rule
     weights = np.zeros(len(values))
     weights[best] = 1.0
     mass = np.zeros(game.num_joint)
-    mass[pne_set.flats[best]] = 1.0
+    mass[flats[best]] = 1.0
     induced = JointDistribution(mass, game.action_counts)
     return RrSolution(LpStatus.OPTIMAL, weights, induced, float(values[best]))
 

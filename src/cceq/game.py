@@ -151,6 +151,8 @@ class JointDistribution:
             raise ValueError(
                 f"mass has length {mass.shape}, joint space is {joint_space_size(counts)}"
             )
+        if not np.isfinite(mass).all():
+            raise ValueError("probability masses must be finite")
         if mass.size and float(mass.min()) < 0.0:
             raise ValueError("probability masses must be nonnegative")
         total = float(mass.sum())

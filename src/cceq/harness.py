@@ -44,7 +44,7 @@ from .game import (
     unflatten,
 )
 from .lp import LpStatus, SolverFailureError, load_highs
-from .uncertainty import UncertaintyModel, substream
+from .uncertainty import substream, tightenings
 from .vq import VQInstance, build_game, fcfs_profile, generate_instance
 
 __all__ = [
@@ -146,10 +146,10 @@ class ExperimentConfig:
                              f"num_airlines={self.num_airlines}, got {self.flight_counts}")
         if isinstance(self.sigma, (list, tuple)):
             self.sigma = tuple(float(s) for s in self.sigma)
-        UncertaintyModel.gaussian(self.sigma, self.num_airlines).quantiles(self.alpha)
+        tightenings(self.sigma, self.alpha, self.num_airlines)
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        if self.time_budget_per_solve <= 0:
+        if not self.time_budget_per_solve > 0:  # NaN included
             raise ValueError("time_budget_per_solve must be positive")
         if not isinstance(self.scenario, dict) or set(self.scenario) - set(_SCENARIO_KEYS):
             raise ValueError(f"scenario keys must be a subset of {sorted(_SCENARIO_KEYS)}")
@@ -277,19 +277,21 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
     return final_action, final_action != rec
 
 
-def _solve_for_method(method, config, instance, game, sys_cost, unc, deadline):
-    """Method dispatch for pipeline step 3; returns (z, status, rr_size_d)."""
+def _solve_for_method(method, instance, game, sys_cost, q, deadline):
+    """Method dispatch for pipeline step 3, ``q`` being the trial's
+    tightenings; returns (z, status, rr_size_d)."""
     if method == METHOD_FCFS:
         z = JointDistribution.point_mass(fcfs_profile(instance), game.action_counts)
         return z, STATUS_OK, None
     if method == METHOD_FULL_CCCE:
-        result = solve_full_ccce(game, unc, config.alpha, sys_cost, deadline=deadline)
+        result = solve_full_ccce(game, q, sys_cost, deadline=deadline)
         if result.status != LpStatus.OPTIMAL:
             return None, STATUS_INFEASIBLE, None
         return result.distribution, STATUS_OK, None
     if method in (METHOD_RR_NOMINAL, METHOD_RR_CCCE):
-        model = UncertaintyModel.zero(game.num_agents) if method == METHOD_RR_NOMINAL else unc
-        pne = enumerate_cc_pne(game, model, config.alpha)
+        if method == METHOD_RR_NOMINAL:
+            q = np.zeros(game.num_agents)
+        pne = enumerate_cc_pne(game, q)
         rr = solve_reduced_rank(game, pne, sys_cost)
         if rr.status != LpStatus.OPTIMAL:
             return None, STATUS_INFEASIBLE, len(pne)
@@ -300,19 +302,22 @@ def _solve_for_method(method, config, instance, game, sys_cost, unc, deadline):
 class LoweredTrial(NamedTuple):
     """One trial's instance and game, shared by every method run on it.
 
-    ``game`` and ``sys_cost`` are None when the joint action space exceeds
-    the cap of ``build_game``; ``etas`` then is empty.
+    ``q`` holds each agent's tightening and ``etas`` its perturbation draw.
+    ``game``, ``sys_cost`` and ``q`` are None when the joint action space
+    exceeds the cap of ``build_game``; ``etas`` then is empty.
     """
 
     instance: VQInstance
     game: FiniteGame | None
     sys_cost: np.ndarray | None
+    q: np.ndarray | None
     etas: tuple[float, ...]
 
 
 def lower_trial(config: ExperimentConfig, trial_index: int, num_flights: int) -> LoweredTrial:
-    """Pipeline steps 1-2: generate the trial's instance, lower it to a game
-    and draw each agent's perturbation for the deviation simulation."""
+    """Pipeline steps 1-2: generate the trial's instance, lower it to a game,
+    compute each agent's tightening and draw its perturbation for the
+    deviation simulation."""
     instance = generate_instance(
         num_flights,
         config.num_airlines,
@@ -324,15 +329,16 @@ def lower_trial(config: ExperimentConfig, trial_index: int, num_flights: int) ->
     try:
         game, sys_cost = build_game(instance)
     except BudgetExceededError:
-        return LoweredTrial(instance, None, None, ())
-    unc = UncertaintyModel.gaussian(config.sigma, game.num_agents)
+        return LoweredTrial(instance, None, None, None, ())
+    q = tightenings(config.sigma, config.alpha, game.num_agents)
+    sigmas = np.broadcast_to(np.asarray(config.sigma, dtype=float), q.shape)
     # the draws depend only on (master seed, trial, flight count, agent)
     etas = tuple(
-        unc.sample_eta(i, substream(config.master_seed, _STREAM_ETA,
-                                    trial_index, num_flights, i))
+        float(sigmas[i] * substream(config.master_seed, _STREAM_ETA, trial_index,
+                                    num_flights, i).standard_normal())
         for i in range(game.num_agents)
     )
-    return LoweredTrial(instance, game, sys_cost, etas)
+    return LoweredTrial(instance, game, sys_cost, q, etas)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, method: str,
@@ -354,22 +360,20 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     """
     if lowered is None:
         lowered = lower_trial(config, trial_index, num_flights)
-    instance, game, sys_cost, etas = lowered
+    instance, game, sys_cost, q, etas = lowered
     if game is None:
         return TrialRecord(
             trial_index=trial_index, method=method, num_flights=num_flights,
             alpha=config.alpha, sigma=config.sigma,
             status=STATUS_SOLVER_FAILURE, solve_seconds=0.0,
         )
-    unc = UncertaintyModel.gaussian(config.sigma, game.num_agents)
     if method == METHOD_FULL_CCCE:
         load_highs()  # loads the solver module once (~10 ms), outside solve_seconds
 
     start = time.perf_counter()
     try:
         z, status, rr_size_d = _solve_for_method(
-            method, config, instance, game, sys_cost, unc,
-            deadline=start + config.time_budget_per_solve,
+            method, instance, game, sys_cost, q, deadline=start + config.time_budget_per_solve,
         )
     except TimeoutError:
         z, status, rr_size_d = None, STATUS_TIMEOUT, None

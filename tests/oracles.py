@@ -27,9 +27,14 @@ from cceq.game import (
     FiniteGame,
     JointDistribution,
     check_joint_space,
-    flat_index,
+    unflatten,
 )
 from cceq.lp import LinearProgram, LpStatus
+
+
+def profiles(flats, action_counts) -> tuple[tuple[int, ...], ...]:
+    """The joint actions at the flat indices ``flats``, as coordinate tuples."""
+    return tuple(unflatten(int(f), action_counts) for f in flats)
 
 
 def erf_series(x: float) -> float:
@@ -130,13 +135,13 @@ def dense_constraints(lp: LinearProgram):
     return matrix[ineq], lp.row_upper[ineq], matrix[eq], lp.row_upper[eq]
 
 
-def solve_reduced_rank_lp(game: FiniteGame, pne_set, sys_cost) -> RrSolution:
+def solve_reduced_rank_lp(game: FiniteGame, flats, sys_cost) -> RrSolution:
     """LP formulation of ``solve_reduced_rank``: minimize cost over the
-    simplex of weights on the profiles; must agree on the objective."""
-    if len(pne_set) == 0:
+    simplex of weights on the profiles at ``flats``; must agree on the
+    objective."""
+    if len(flats) == 0:
         return RrSolution(LpStatus.INFEASIBLE)
     sys_cost = np.asarray(sys_cost, dtype=float)
-    flats = [flat_index(p, game.action_counts) for p in pne_set.profiles]
     values = sys_cost[flats]
     program = LinearProgram.from_rows(objective=values, eq=[(np.ones(len(flats)), 1.0)])
     solution = lpmod.solve(program)

@@ -15,10 +15,9 @@ from cceq.equilibrium import (
     check_ccce_feasibility,
     enumerate_cc_pne,
     solve_full_ccce,
-    solve_nominal_ce,
     solve_reduced_rank,
 )
-from cceq.game import FiniteGame, JointDistribution, flat_index
+from cceq.game import FiniteGame, JointDistribution
 from cceq.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -29,9 +28,9 @@ from cceq.harness import (
     run_trial,
 )
 from cceq.lp import LpStatus
-from cceq.uncertainty import UncertaintyModel
+from cceq.uncertainty import tightenings
 from conftest import INTERSECTION_COSTS
-from oracles import eq_feasible, grid_distributions, random_game
+from oracles import eq_feasible, grid_distributions, profiles, random_game
 
 INTERSECTION_GAME = FiniteGame((2, 2), INTERSECTION_COSTS)
 HALF_DEVICE = JointDistribution(np.array([0.0, 0.5, 0.5, 0.0]), (2, 2))
@@ -40,17 +39,14 @@ SYS1 = INTERSECTION_COSTS.sum(axis=0)
 
 def test_criterion_01_intersection_golden_suite():
     start = time.perf_counter()
-    unc0 = UncertaintyModel.zero(2)
-    unc1 = UncertaintyModel.gaussian(1.0, 2)
-
-    ok, _ = check_ccce_feasibility(INTERSECTION_GAME, HALF_DEVICE, unc0, 0.9)
+    ok, _ = check_ccce_feasibility(INTERSECTION_GAME, HALF_DEVICE, tightenings(0.0, 0.9, 2))
     assert ok, "half/half device must be a nominal CE"
 
-    ok, worst = check_ccce_feasibility(INTERSECTION_GAME, HALF_DEVICE, unc1, 0.9)
+    ok, worst = check_ccce_feasibility(INTERSECTION_GAME, HALF_DEVICE, tightenings(1.0, 0.9, 2))
     assert ok
     assert worst == pytest.approx(-0.7184, abs=1e-4)
 
-    ok, _ = check_ccce_feasibility(INTERSECTION_GAME, HALF_DEVICE, unc1, 0.99)
+    ok, _ = check_ccce_feasibility(INTERSECTION_GAME, HALF_DEVICE, tightenings(1.0, 0.99, 2))
     assert not ok
 
     elapsed = time.perf_counter() - start
@@ -68,15 +64,14 @@ def test_criterion_02_equilibrium_containment_property_suite():
         game = random_game(rng, max_agents=3, max_actions=3, low=-5, high=5)
         n = game.num_agents
         for sigma in (0.0, 0.5, 1.0):
-            unc = UncertaintyModel.gaussian(sigma, n)
             for alpha in (0.5, 0.9, 0.99):
-                pne = enumerate_cc_pne(game, unc, alpha)
-                if len(pne) == 0:
+                q = tightenings(sigma, alpha, n)
+                flats = enumerate_cc_pne(game, q)
+                if len(flats) == 0:
                     continue
-                flats = [flat_index(p, game.action_counts) for p in pne.profiles]
-                for profile in pne.profiles:
+                for profile in profiles(flats, game.action_counts):
                     z = JointDistribution.point_mass(profile, game.action_counts)
-                    ok, worst = check_ccce_feasibility(game, z, unc, alpha, tol=1e-7)
+                    ok, worst = check_ccce_feasibility(game, z, q, tol=1e-7)
                     assert ok, f"CC-PNE point mass violates CC-CE: margin {worst}"
                     point_checks += 1
                 for _ in range(50):
@@ -84,7 +79,7 @@ def test_criterion_02_equilibrium_containment_property_suite():
                     mass = np.zeros(game.num_joint)
                     mass[flats] = lam
                     z = JointDistribution(mass, game.action_counts)
-                    ok, worst = check_ccce_feasibility(game, z, unc, alpha, tol=1e-7)
+                    ok, worst = check_ccce_feasibility(game, z, q, tol=1e-7)
                     assert ok, f"CC-PNE hull point violates CC-CE: margin {worst}"
                     hull_checks += 1
     elapsed = time.perf_counter() - start
@@ -104,12 +99,12 @@ def test_criterion_03_restriction_bound():
         n = game.num_agents
         sigma = float(rng.choice([0.0, 0.5, 1.0]))
         alpha = float(rng.choice([0.5, 0.9]))
-        unc = UncertaintyModel.gaussian(sigma, n)
+        q = tightenings(sigma, alpha, n)
         sys_cost = game.costs.sum(axis=0)
-        pne = enumerate_cc_pne(game, unc, alpha)
+        pne = enumerate_cc_pne(game, q)
         if len(pne) == 0:
             continue
-        full = solve_full_ccce(game, unc, alpha, sys_cost)
+        full = solve_full_ccce(game, q, sys_cost)
         if full.status != LpStatus.OPTIMAL:
             continue
         rr = solve_reduced_rank(game, pne, sys_cost)
@@ -126,13 +121,13 @@ def test_criterion_04_nominal_reduction_equivalence():
         game = random_game(rng)
         n = game.num_agents
         sys_cost = game.costs.sum(axis=0)
-        nominal = solve_nominal_ce(game, sys_cost)
+        nominal = solve_full_ccce(game, np.zeros(n), sys_cost)
         assert nominal.status == LpStatus.OPTIMAL
         alpha = float(rng.uniform(0.05, 0.95))
-        zero_sigma = solve_full_ccce(game, UncertaintyModel.zero(n), alpha, sys_cost)
+        zero_sigma = solve_full_ccce(game, tightenings(0.0, alpha, n), sys_cost)
         assert abs(zero_sigma.objective - nominal.objective) <= 1e-7
         sigma = float(rng.uniform(0.5, 3.0))
-        at_half = solve_full_ccce(game, UncertaintyModel.gaussian(sigma, n), 0.5, sys_cost)
+        at_half = solve_full_ccce(game, tightenings(sigma, 0.5, n), sys_cost)
         assert abs(at_half.objective - nominal.objective) <= 1e-7
     print("\n[PASS] criterion 4: nominal-reduction equivalence on 100 games "
           "(sigma=0 at random alpha; gaussian sigma>0 at alpha=0.5)")
@@ -143,10 +138,8 @@ def test_criterion_05_alpha_monotonicity():
     for _ in range(200):
         game = random_game(rng)
         sigma = float(rng.choice([0.5, 1.0]))
-        unc = UncertaintyModel.gaussian(sigma, game.num_agents)
-        at_99 = set(enumerate_cc_pne(game, unc, 0.99).profiles)
-        at_90 = set(enumerate_cc_pne(game, unc, 0.9).profiles)
-        at_50 = set(enumerate_cc_pne(game, unc, 0.5).profiles)
+        at_99, at_90, at_50 = (set(enumerate_cc_pne(game, tightenings(sigma, alpha, game.num_agents)))
+                               for alpha in (0.99, 0.9, 0.5))
         assert at_99 <= at_90 <= at_50
     print("\n[PASS] criterion 5: alpha-monotonicity of CC-PNE sets on 200 games "
           "(0.99 within 0.9 within 0.5, exact containment)")
@@ -242,10 +235,10 @@ def test_criterion_10_oracle_equivalence():
     for g in range(500):
         game = FiniteGame((2, 2), rng.integers(-2, 3, size=(2, 4)).astype(float))
         sigma, alpha = combos[g % len(combos)]
-        unc = UncertaintyModel.gaussian(sigma, 2)
+        q = tightenings(sigma, alpha, 2)
         for mass in grid:
             z = JointDistribution(mass, (2, 2))
-            ours, _ = check_ccce_feasibility(game, z, unc, alpha, tol=1e-7)
+            ours, _ = check_ccce_feasibility(game, z, q, tol=1e-7)
             oracle = eq_feasible(game, mass, [sigma, sigma], alpha, tol=1e-7)
             assert ours == oracle, (
                 f"disagreement: game {game.costs.tolist()}, z {mass.tolist()}, "

@@ -122,6 +122,15 @@ def test_check_distribution(game_file, tmp_path, capsys):
     assert "feasible: false" in capsys.readouterr().out
 
 
+def test_check_nan_distribution_exits_2(game_file, tmp_path, capsys):
+    dist = tmp_path / "dist.json"
+    dist.write_text('{"mass": [NaN, 0.5, 0.5, 0]}')
+    rc = main(["check", "--game-file", str(game_file), "--alpha", "0.9",
+               "--sigma", "1.0", "--dist-file", str(dist)])
+    assert rc == 2
+    assert "feasible" not in capsys.readouterr().out
+
+
 def test_check_polytope_mode(game_file, capsys):
     rc = main(["check", "--game-file", str(game_file), "--alpha", "0.9", "--sigma", "1.0"])
     assert rc == 0
@@ -138,7 +147,7 @@ def test_enumerate_pne(game_file, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "0 1"
     assert out[1] == "1 0"
-    assert "found 2" in out[2]
+    assert out[2] == "found 2 CC-PNE at alpha=0.9"
 
 
 def test_enumerate_pne_limit(game_file, capsys):
@@ -146,6 +155,13 @@ def test_enumerate_pne_limit(game_file, capsys):
                "--alpha", "0.9", "--sigma", "0", "--limit", "1"])
     assert rc == 0
     assert "found 1" in capsys.readouterr().out
+
+
+def test_enumerate_pne_negative_limit_exits_2(game_file, capsys):
+    rc = main(["enumerate-pne", "--game-file", str(game_file),
+               "--alpha", "0.9", "--sigma", "0", "--limit", "-1"])
+    assert rc == 2
+    assert "found" not in capsys.readouterr().out
 
 
 def test_check_bad_game_file_exits_1(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 import cceq.game
 from cceq.equilibrium import (
-    CcPneSet,
     assemble_ce_constraints,
     ccce_program,
     check_ccce_feasibility,
@@ -13,30 +12,30 @@ from cceq.equilibrium import (
     is_cc_pne,
     sample_recommendation,
     solve_full_ccce,
-    solve_nominal_ce,
     solve_reduced_rank,
 )
 from cceq.game import (
     BudgetExceededError,
     FiniteGame,
     JointDistribution,
-    flat_index,
     incentive_gains,
 )
 from cceq.lp import LpSolution, LpStatus, SolverFailureError
-from cceq.uncertainty import UncertaintyModel, substream
+from cceq.uncertainty import substream, tightenings
 from cceq.vq import build_game, generate_instance
 from oracles import (
     dense_constraints,
     enumerate_lp_vertices,
     eq_feasible,
     eq_margins,
+    profiles,
     random_game,
     solve_reduced_rank_lp,
 )
 
-UNC0 = UncertaintyModel.zero(2)
-UNC1 = UncertaintyModel.gaussian(1.0, 2)
+Q0 = np.zeros(2)
+Q1 = tightenings(1.0, 0.9, 2)
+Q1_99 = tightenings(1.0, 0.99, 2)
 Q90 = 1.2815515655446004
 
 
@@ -79,9 +78,9 @@ def test_assemble_nominal_intersection_game(intersection_game, half_device):
 
 
 def test_assemble_tightened_intersection_game(intersection_game, half_device):
-    rows = incentive_rows(intersection_game, UNC1.quantiles(0.9))
+    rows = incentive_rows(intersection_game, Q1)
     assert float((rows @ half_device.mass).max()) <= 0.0  # margins -2, -4 vs 1.2816
-    rows99 = incentive_rows(intersection_game, UNC1.quantiles(0.99))
+    rows99 = incentive_rows(intersection_game, Q1_99)
     assert float((rows99 @ half_device.mass).max()) > 0.0  # -2 + 2.3263 > 0
 
 
@@ -92,17 +91,17 @@ def test_assemble_missing_tightening(intersection_game):
 
 
 def test_check_intersection_game_values(intersection_game, half_device):
-    ok, worst = check_ccce_feasibility(intersection_game, half_device, UNC0, 0.9)
+    ok, worst = check_ccce_feasibility(intersection_game, half_device, Q0)
     assert ok and worst == pytest.approx(-2.0, abs=1e-9)
-    ok, worst = check_ccce_feasibility(intersection_game, half_device, UNC1, 0.9)
+    ok, worst = check_ccce_feasibility(intersection_game, half_device, Q1)
     assert ok and worst == pytest.approx(-2.0 + Q90, abs=1e-9)
-    ok, worst = check_ccce_feasibility(intersection_game, half_device, UNC1, 0.99)
+    ok, worst = check_ccce_feasibility(intersection_game, half_device, Q1_99)
     assert not ok and worst == pytest.approx(-2.0 + 2.3263479, abs=1e-6)
 
 
 def test_check_point_mass_stop_stop(intersection_game):
     z = JointDistribution.point_mass((1, 1), (2, 2))
-    ok, worst = check_ccce_feasibility(intersection_game, z, UNC0, 0.9)
+    ok, worst = check_ccce_feasibility(intersection_game, z, Q0)
     assert not ok
     assert worst == pytest.approx(2.0, abs=1e-9)  # S -> G against S pays 2
 
@@ -111,13 +110,14 @@ def test_check_sigma_zero_matches_nominal_any_alpha(intersection_game):
     rng = np.random.default_rng(3)
     for _ in range(20):
         z = JointDistribution(rng.dirichlet(np.ones(4)), (2, 2))
-        base = check_ccce_feasibility(intersection_game, z, UNC0, 0.9)
+        base = check_ccce_feasibility(intersection_game, z, Q0)
         for alpha in (0.05, 0.5, 0.999):
-            assert check_ccce_feasibility(intersection_game, z, UNC0, alpha) == base
+            q = tightenings(0.0, alpha, 2)
+            assert check_ccce_feasibility(intersection_game, z, q) == base
 
 
 def test_full_solve_intersection_game_nominal(intersection_game, intersection_sys_cost):
-    result = solve_full_ccce(intersection_game, UNC0, 0.9, intersection_sys_cost)
+    result = solve_full_ccce(intersection_game, Q0, intersection_sys_cost)
     assert result.status == LpStatus.OPTIMAL
     assert result.objective == pytest.approx(0.0, abs=1e-9)
     mass = result.distribution.mass
@@ -125,10 +125,10 @@ def test_full_solve_intersection_game_nominal(intersection_game, intersection_sy
 
 
 def test_full_solve_intersection_game_tightened(intersection_game, intersection_sys_cost):
-    result = solve_full_ccce(intersection_game, UNC1, 0.9, intersection_sys_cost)
+    result = solve_full_ccce(intersection_game, Q1, intersection_sys_cost)
     assert result.status == LpStatus.OPTIMAL
     assert result.objective == pytest.approx(0.0, abs=1e-9)
-    ok, _ = check_ccce_feasibility(intersection_game, result.distribution, UNC1, 0.9)
+    ok, _ = check_ccce_feasibility(intersection_game, result.distribution, Q1)
     assert ok
 
 
@@ -141,36 +141,39 @@ def test_full_solve_matches_vertex_oracle_on_random_games(intersection_game):
         program = ccce_program(game, np.zeros(2), sys_cost)
         vertices = enumerate_lp_vertices(*dense_constraints(program), 4)
         oracle = min(float(program.objective @ v) for v in vertices)
-        result = solve_nominal_ce(game, sys_cost)
+        result = solve_full_ccce(game, np.zeros(2), sys_cost)
         assert result.status == LpStatus.OPTIMAL
         assert result.objective == pytest.approx(oracle, abs=1e-6)
 
 
 def test_is_cc_pne_intersection_game(intersection_game):
-    assert is_cc_pne(intersection_game, (0, 1), UNC1, 0.9)
-    assert not is_cc_pne(intersection_game, (0, 1), UNC1, 0.99)
-    assert not is_cc_pne(intersection_game, (0, 0), UNC0, 0.9)
-    assert is_cc_pne(intersection_game, (1, 0), UNC0, 0.9)
+    assert is_cc_pne(intersection_game, (0, 1), Q1)
+    assert not is_cc_pne(intersection_game, (0, 1), Q1_99)
+    assert not is_cc_pne(intersection_game, (0, 0), Q0)
+    assert is_cc_pne(intersection_game, (1, 0), Q0)
 
 
 def test_enumerate_intersection_game(intersection_game):
-    nominal = enumerate_cc_pne(intersection_game, UNC0, 0.9)
-    assert nominal.profiles == ((0, 1), (1, 0))
-    assert nominal.alpha_used == 0.9
-    assert len(enumerate_cc_pne(intersection_game, UNC1, 0.99)) == 0
+    nominal = enumerate_cc_pne(intersection_game, Q0)
+    assert profiles(nominal, (2, 2)) == ((0, 1), (1, 0))
+    assert len(enumerate_cc_pne(intersection_game, Q1_99)) == 0
     for alpha in (0.1, 0.5, 0.95):
-        assert enumerate_cc_pne(intersection_game, UNC0, alpha).profiles == nominal.profiles
+        q = tightenings(0.0, alpha, 2)
+        assert np.array_equal(enumerate_cc_pne(intersection_game, q), nominal)
 
 
 def test_enumerate_limit_and_order(intersection_game):
-    limited = enumerate_cc_pne(intersection_game, UNC0, 0.9, limit=1)
-    assert limited.profiles == ((0, 1),)
+    limited = enumerate_cc_pne(intersection_game, Q0, limit=1)
+    assert profiles(limited, (2, 2)) == ((0, 1),)
+    assert len(enumerate_cc_pne(intersection_game, Q0, limit=0)) == 0
+    with pytest.raises(ValueError, match="limit"):
+        enumerate_cc_pne(intersection_game, Q0, limit=-1)
 
 
 def test_enumerate_budget_cap(intersection_game, monkeypatch):
     monkeypatch.setattr(cceq.game, "JOINT_SPACE_CAP", 2)
     with pytest.raises(BudgetExceededError):
-        enumerate_cc_pne(intersection_game, UNC0, 0.9)
+        enumerate_cc_pne(intersection_game, Q0)
 
 
 def test_enumerate_matches_scalar_check():
@@ -180,19 +183,19 @@ def test_enumerate_matches_scalar_check():
         n = game.num_agents
         sigma = float(rng.choice([0.0, 0.5, 1.0]))
         alpha = float(rng.choice([0.2, 0.5, 0.9, 0.99]))  # 0.2: negative tightenings
-        unc = UncertaintyModel.gaussian(sigma, n)
-        found = set(enumerate_cc_pne(game, unc, alpha).profiles)
+        q = tightenings(sigma, alpha, n)
+        found = set(profiles(enumerate_cc_pne(game, q), game.action_counts))
         for coords in itertools.product(*[range(m) for m in game.action_counts]):
-            assert (coords in found) == is_cc_pne(game, coords, unc, alpha)
+            assert (coords in found) == is_cc_pne(game, coords, q)
 
 
 def test_enumerate_sub_ulp_tightening_admits_no_worse_action():
     # q = 1.28e-20 is below half an ulp of the costs, so cost + q == cost:
     # the two actions costing 2 are still beaten by the one costing 1
     game = FiniteGame((3,), np.array([[1.0, 2.0, 2.0]]))
-    unc = UncertaintyModel.gaussian(1e-20, 1)
-    assert enumerate_cc_pne(game, unc, 0.9).profiles == ((0,),)
-    assert [is_cc_pne(game, (a,), unc, 0.9) for a in range(3)] == [True, False, False]
+    q = tightenings(1e-20, 0.9, 1)
+    assert list(enumerate_cc_pne(game, q)) == [0]
+    assert [is_cc_pne(game, (a,), q) for a in range(3)] == [True, False, False]
 
 
 # Action counts covering one action, two, 3..16 and more than 16, an
@@ -217,7 +220,7 @@ def test_enumerate_matches_brute_force_on_every_branch(counts):
     assert min(sizes) < eqmod._TOURNAMENT_MIN_JOINT <= max(sizes)
     rng = np.random.default_rng(sum(counts))
     n, num_joint = len(counts), int(np.prod(counts))
-    profiles = list(itertools.product(*[range(m) for m in counts]))
+    every = list(itertools.product(*[range(m) for m in counts]))
     # all agents' costs random (tie-heavy integers, then continuous), then
     # each agent alone facing constant costs of the others, so that no other
     # agent's test can hide a wrong one, with fewer ties so that runner-ups
@@ -233,21 +236,26 @@ def test_enumerate_matches_brute_force_on_every_branch(counts):
             sigmas = (sigma * n)[:n] if isinstance(sigma, tuple) else (sigma,) * n
             if alone is not None:  # the others, at sigma 0, pass everywhere
                 sigmas = tuple(s if j == alone else 0.0 for j, s in enumerate(sigmas))
-            unc = UncertaintyModel.gaussian(sigmas, n)
-            expected = tuple(p for p in profiles if is_cc_pne(game, p, unc, alpha))
-            assert enumerate_cc_pne(game, unc, alpha).profiles == expected, (sigmas, alpha, alone)
+            q = tightenings(sigmas, alpha, n)
+            expected = tuple(p for p in every if is_cc_pne(game, p, q))
+            assert profiles(enumerate_cc_pne(game, q), counts) == expected, (sigmas, alpha, alone)
 
 
-def test_alpha_validation(intersection_game):
-    for alpha in (0.0, 1.0, -1.0):
-        with pytest.raises(ValueError):
-            enumerate_cc_pne(intersection_game, UNC0, alpha)
-        with pytest.raises(ValueError):
-            is_cc_pne(intersection_game, (0, 0), UNC0, alpha)
+def test_tightening_validation(intersection_game, half_device, intersection_sys_cost):
+    # one finite tightening per agent, else every equilibrium function refuses
+    for q in (np.zeros(1), np.zeros(3), np.zeros((2, 1)), [0.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="tightening"):
+            enumerate_cc_pne(intersection_game, q)
+        with pytest.raises(ValueError, match="tightening"):
+            is_cc_pne(intersection_game, (0, 0), q)
+        with pytest.raises(ValueError, match="tightening"):
+            check_ccce_feasibility(intersection_game, half_device, q)
+        with pytest.raises(ValueError, match="tightening"):
+            solve_full_ccce(intersection_game, q, intersection_sys_cost)
 
 
 def test_rr_intersection_game_tie_rule(intersection_game, intersection_sys_cost):
-    pne = enumerate_cc_pne(intersection_game, UNC0, 0.9)
+    pne = enumerate_cc_pne(intersection_game, Q0)
     rr = solve_reduced_rank(intersection_game, pne, intersection_sys_cost)
     assert rr.status == LpStatus.OPTIMAL
     assert rr.objective == pytest.approx(0.0, abs=1e-12)
@@ -257,18 +265,16 @@ def test_rr_intersection_game_tie_rule(intersection_game, intersection_sys_cost)
 
 def test_rr_singleton_and_argmin():
     game = FiniteGame((3,), np.array([[5.0, 2.0, 7.0]]))
-    single = CcPneSet(np.array([1]), (3,), 0.9)
-    rr = solve_reduced_rank(game, single, np.array([5.0, 2.0, 7.0]))
+    rr = solve_reduced_rank(game, np.array([1]), np.array([5.0, 2.0, 7.0]))
     assert np.array_equal(rr.weights, [1.0])
     assert rr.objective == 2.0
-    full = CcPneSet(np.array([0, 1, 2]), (3,), 0.9)
-    rr = solve_reduced_rank(game, full, np.array([5.0, 2.0, 7.0]))
+    rr = solve_reduced_rank(game, np.array([0, 1, 2]), np.array([5.0, 2.0, 7.0]))
     assert np.array_equal(rr.weights, [0.0, 1.0, 0.0])
     assert rr.objective == 2.0
 
 
 def test_rr_empty_is_infeasible(intersection_game, intersection_sys_cost):
-    empty = CcPneSet(np.array([], dtype=int), (2, 2), 0.9)
+    empty = np.array([], dtype=int)
     assert solve_reduced_rank(intersection_game, empty, intersection_sys_cost).status == LpStatus.INFEASIBLE
     assert solve_reduced_rank_lp(intersection_game, empty, intersection_sys_cost).status == LpStatus.INFEASIBLE
 
@@ -277,8 +283,7 @@ def test_rr_closed_form_agrees_with_lp():
     rng = np.random.default_rng(404)
     for _ in range(30):
         game = random_game(rng)
-        unc = UncertaintyModel.zero(game.num_agents)
-        pne = enumerate_cc_pne(game, unc, 0.9)
+        pne = enumerate_cc_pne(game, np.zeros(game.num_agents))
         if len(pne) == 0:
             continue
         sys_cost = game.costs.sum(axis=0)
@@ -294,10 +299,10 @@ def test_ccpne_point_mass_is_valid_ccce():
         n = game.num_agents
         sigma = float(rng.choice([0.0, 0.5, 1.0]))
         alpha = float(rng.choice([0.5, 0.9, 0.99]))
-        unc = UncertaintyModel.gaussian(sigma, n)
-        for profile in enumerate_cc_pne(game, unc, alpha).profiles:
+        q = tightenings(sigma, alpha, n)
+        for profile in profiles(enumerate_cc_pne(game, q), game.action_counts):
             z = JointDistribution.point_mass(profile, game.action_counts)
-            ok, worst = check_ccce_feasibility(game, z, unc, alpha)
+            ok, worst = check_ccce_feasibility(game, z, q)
             assert ok, f"CC-PNE point mass violates CC-CE: worst {worst}"
 
 
@@ -309,18 +314,17 @@ def test_ccpne_convex_hull_within_ccce_set():
         n = game.num_agents
         sigma = float(rng.choice([0.0, 0.5, 1.0]))
         alpha = float(rng.choice([0.5, 0.9, 0.99]))
-        unc = UncertaintyModel.gaussian(sigma, n)
-        pne = enumerate_cc_pne(game, unc, alpha)
-        if len(pne) == 0:
+        q = tightenings(sigma, alpha, n)
+        flats = enumerate_cc_pne(game, q)
+        if len(flats) == 0:
             continue
         games_done += 1
-        flats = [flat_index(p, game.action_counts) for p in pne.profiles]
         for _ in range(50):
             lam = rng.dirichlet(np.ones(len(flats)))
             mass = np.zeros(game.num_joint)
             mass[flats] = lam
             z = JointDistribution(mass, game.action_counts)
-            ok, worst = check_ccce_feasibility(game, z, unc, alpha)
+            ok, worst = check_ccce_feasibility(game, z, q)
             assert ok, f"hull point violates CC-CE: worst {worst}"
 
 
@@ -328,10 +332,8 @@ def test_alpha_monotonicity_of_enumeration():
     rng = np.random.default_rng(555)
     for _ in range(80):
         game = random_game(rng)
-        unc = UncertaintyModel.gaussian(1.0, game.num_agents)
-        low = set(enumerate_cc_pne(game, unc, 0.5).profiles)
-        mid = set(enumerate_cc_pne(game, unc, 0.9).profiles)
-        high = set(enumerate_cc_pne(game, unc, 0.99).profiles)
+        low, mid, high = (set(enumerate_cc_pne(game, tightenings(1.0, alpha, game.num_agents)))
+                          for alpha in (0.5, 0.9, 0.99))
         assert high <= mid <= low
 
 
@@ -339,10 +341,9 @@ def test_alpha_monotonicity_of_check():
     rng = np.random.default_rng(556)
     for _ in range(40):
         game = random_game(rng)
-        unc = UncertaintyModel.gaussian(1.0, game.num_agents)
         z = JointDistribution(rng.dirichlet(np.ones(game.num_joint)), game.action_counts)
-        if check_ccce_feasibility(game, z, unc, 0.9)[0]:
-            assert check_ccce_feasibility(game, z, unc, 0.5)[0]
+        if check_ccce_feasibility(game, z, tightenings(1.0, 0.9, game.num_agents))[0]:
+            assert check_ccce_feasibility(game, z, tightenings(1.0, 0.5, game.num_agents))[0]
 
 
 def test_restriction_bound():
@@ -353,12 +354,12 @@ def test_restriction_bound():
         n = game.num_agents
         sigma = float(rng.choice([0.0, 0.5, 1.0]))
         alpha = float(rng.choice([0.5, 0.9]))
-        unc = UncertaintyModel.gaussian(sigma, n)
+        q = tightenings(sigma, alpha, n)
         sys_cost = game.costs.sum(axis=0)
-        pne = enumerate_cc_pne(game, unc, alpha)
+        pne = enumerate_cc_pne(game, q)
         if len(pne) == 0:
             continue
-        full = solve_full_ccce(game, unc, alpha, sys_cost)
+        full = solve_full_ccce(game, q, sys_cost)
         if full.status != LpStatus.OPTIMAL:
             continue
         rr = solve_reduced_rank(game, pne, sys_cost)
@@ -372,9 +373,9 @@ def test_nominal_reduction_equivalence():
         game = random_game(rng)
         n = game.num_agents
         sys_cost = game.costs.sum(axis=0)
-        nominal = solve_nominal_ce(game, sys_cost)
-        sigma_zero = solve_full_ccce(game, UncertaintyModel.zero(n), 0.97, sys_cost)
-        half = solve_full_ccce(game, UncertaintyModel.gaussian(2.5, n), 0.5, sys_cost)
+        nominal = solve_full_ccce(game, np.zeros(n), sys_cost)
+        sigma_zero = solve_full_ccce(game, tightenings(0.0, 0.97, n), sys_cost)
+        half = solve_full_ccce(game, tightenings(2.5, 0.5, n), sys_cost)
         assert nominal.objective == pytest.approx(sigma_zero.objective, abs=1e-7)
         assert nominal.objective == pytest.approx(half.objective, abs=1e-7)
 
@@ -387,11 +388,11 @@ def test_check_agrees_with_independent_oracle():
         game = FiniteGame(counts, rng.integers(-2, 3, size=(2, 4)).astype(float))
         sigma = float(rng.choice([0.0, 0.5, 1.0]))
         alpha = float(rng.choice([0.5, 0.9, 0.99]))
-        unc = UncertaintyModel.gaussian(sigma, 2)
+        q = tightenings(sigma, alpha, 2)
         for _ in range(40):
             mass = rng.dirichlet(np.ones(4) * rng.uniform(0.3, 3.0))
             z = JointDistribution(mass, counts)
-            ours, worst = check_ccce_feasibility(game, z, unc, alpha)
+            ours, worst = check_ccce_feasibility(game, z, q)
             oracle = eq_feasible(game, mass, [sigma, sigma], alpha)
             assert ours == oracle
             margins = eq_margins(game, mass, [sigma, sigma], alpha)
@@ -436,13 +437,13 @@ def test_assemble_rows_consistent_with_check_margins():
     rng = np.random.default_rng(4242)
     for _ in range(25):
         game = random_game(rng)
-        unc = UncertaintyModel.gaussian(float(rng.uniform(0, 2)), game.num_agents)
+        sigma = float(rng.uniform(0, 2))
         alpha = float(rng.uniform(0.1, 0.95))
-        quantiles = unc.quantiles(alpha)
+        quantiles = tightenings(sigma, alpha, game.num_agents)
         rows = incentive_rows(game, quantiles)
         mass = rng.dirichlet(np.ones(game.num_joint))
         z = JointDistribution(mass, game.action_counts)
-        margins = eq_margins(game, mass, unc.sigmas, alpha)
+        margins = eq_margins(game, mass, [sigma] * game.num_agents, alpha)
         kernel = incentive_gains(game, z)
         for row, (i, rec, alt) in zip(rows, canonical_ids(game), strict=True):
             marginal = z.marginal(i, rec)
@@ -468,10 +469,10 @@ def test_full_solve_result_passes_the_check_on_airport_games(master_seed, num_fl
     instance = generate_instance(
         num_flights, 5, seed=np.random.SeedSequence((master_seed, 0, trial, num_flights)))
     game, sys_cost = build_game(instance)
-    unc = UncertaintyModel.gaussian(1.0, game.num_agents)
-    result = solve_full_ccce(game, unc, 0.9, sys_cost)
+    q = tightenings(1.0, 0.9, game.num_agents)
+    result = solve_full_ccce(game, q, sys_cost)
     assert result.status == LpStatus.OPTIMAL
-    ok, worst = check_ccce_feasibility(game, result.distribution, unc, 0.9)
+    ok, worst = check_ccce_feasibility(game, result.distribution, q)
     assert ok, f"worst margin {worst}"
 
 
@@ -481,4 +482,4 @@ def test_full_solve_rejects_an_uncertified_result(intersection_game, intersectio
     fake = LpSolution(LpStatus.OPTIMAL, np.array([0.0, 0.0, 0.0, 1.0]), 2.0)
     monkeypatch.setattr("cceq.lp.solve", lambda program, deadline=None: fake)
     with pytest.raises(SolverFailureError, match="worst margin 2"):
-        solve_full_ccce(intersection_game, UNC0, 0.9, intersection_sys_cost)
+        solve_full_ccce(intersection_game, Q0, intersection_sys_cost)

@@ -157,6 +157,10 @@ def test_distribution_validation():
         JointDistribution(np.array([-0.1, 1.1]), (2,))
     with pytest.raises(ValueError):
         JointDistribution(np.array([0.5, 0.5, 0.0]), (2,))
+    # a NaN total would pass the sum-to-one test, since NaN compares false
+    for bad in ([np.nan, 0.5, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0], [0.5, 0.5, -np.inf, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            JointDistribution(np.array(bad), (2, 2))
 
 
 def test_point_mass_support_and_marginal():

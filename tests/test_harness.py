@@ -25,7 +25,7 @@ from cceq.harness import (
     summarize,
     summarize_paired,
 )
-from cceq.uncertainty import UncertaintyModel, substream
+from cceq.uncertainty import substream
 from cceq.vq import build_game, generate_instance
 
 
@@ -38,12 +38,9 @@ def test_simulate_deviation_forced_eta(intersection_game, half_device):
 
 
 def test_simulate_deviation_zero_noise_on_ccce(intersection_game, half_device, intersection_sys_cost):
-    unc0 = UncertaintyModel.zero(2)
-    for seed in range(20):
-        etas = [unc0.sample_eta(i, substream(seed, i)) for i in range(2)]
-        final, deviated = simulate_deviation(intersection_game, half_device, (0, 1), etas)
-        assert not deviated and final == (0, 1)
-    result = solve_full_ccce(intersection_game, unc0, 0.9, intersection_sys_cost)
+    final, deviated = simulate_deviation(intersection_game, half_device, (0, 1), [0.0, 0.0])
+    assert not deviated and final == (0, 1)
+    result = solve_full_ccce(intersection_game, np.zeros(2), intersection_sys_cost)
     for rec_flat in result.distribution.support:
         rec = tuple(int(c) for c in np.unravel_index(rec_flat, (2, 2)))
         _, deviated = simulate_deviation(intersection_game, result.distribution, rec, [0.0, 0.0])
@@ -236,15 +233,14 @@ def test_point_mass_recommendation_is_the_draw_it_skips(monkeypatch):
     streams = []
     monkeypatch.setattr(hmod, "substream", lambda *path: streams.append(path) or substream(*path))
     config = base_config(sigma=1.0, num_trials=3)
-    unc = UncertaintyModel.gaussian(1.0, 3)
     for trial in range(3):
         lowered = hmod.lower_trial(config, trial, 6)
         for method in ("fcfs", "rr-nominal", "rr-ccce"):
             streams.clear()
             record = run_trial(config, trial, method, 6, lowered)
             assert record.status == STATUS_OK and streams == []
-            z, _, _ = hmod._solve_for_method(method, config, lowered.instance, lowered.game,
-                                             lowered.sys_cost, unc, deadline=None)
+            z, _, _ = hmod._solve_for_method(method, lowered.instance, lowered.game,
+                                             lowered.sys_cost, lowered.q, deadline=None)
             assert z.support.size == 1
             rng = substream(12, hmod._STREAM_RECOMMEND, trial, 6, hmod._METHOD_IDS[method])
             assert record.recommendation == sample_recommendation(z, rng)
@@ -265,7 +261,7 @@ def test_program_too_large_for_memory_is_refused_before_assembly(monkeypatch):
     assert run_trial(config, 0, "rr-ccce", 6).status == "ok"
     game, sys_cost = build_game(generate_instance(6, 5, seed=0))
     with pytest.raises(MemoryError, match="nonzeros needs about"):
-        solve_full_ccce(game, UncertaintyModel.zero(game.num_agents), 0.9, sys_cost)
+        solve_full_ccce(game, np.zeros(game.num_agents), sys_cost)
 
 
 def test_available_memory_respects_the_address_space_limit():
@@ -467,6 +463,7 @@ def test_run_experiment_builds_one_game_per_trial(tmp_path, monkeypatch):
     dict(sigma=-1.0),
     dict(sigma=float("nan")),
     dict(sigma=(1.0, float("inf"), 1.0), num_airlines=3),
+    dict(time_budget_per_solve=float("nan")),
 ])
 def test_config_rejects_bad_flights_and_sigma(overrides):
     with pytest.raises(ValueError):

@@ -193,15 +193,14 @@ def test_validation_errors():
 def test_vq_selection_programs_match_scipy():
     # the degenerate zero-rhs incentive programs are the solver's worst case;
     # hammer a spread of sizes and tightenings against HiGHS
-    from cceq.uncertainty import UncertaintyModel
+    from cceq.uncertainty import tightenings
     from cceq.vq import build_game, generate_instance
 
     for seed, flights, sigma in ((100, 7, 0.0), (101, 8, 1.0), (102, 9, 16.0),
                                  (104, 9, 8.0), (105, 10, 2.0)):
         inst = generate_instance(flights, 5, seed=seed)
         game, sys_cost = build_game(inst)
-        unc = UncertaintyModel.gaussian(sigma, 5)
-        program = ccce_program(game, unc.quantiles(0.9), sys_cost)
+        program = ccce_program(game, tightenings(sigma, 0.9, 5), sys_cost)
         sol = solve(program)
         ref = scipy_solve(program)
         assert sol.status == LpStatus.OPTIMAL and ref.status == 0
