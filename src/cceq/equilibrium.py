@@ -61,12 +61,6 @@ BYTES_PER_NONZERO = 120
 # What cgroup v1's memory.limit_in_bytes reads when no limit is set: the
 # largest int64 rounded down to a 4 KiB page.
 _CGROUP_V1_NO_LIMIT = 9223372036854771712
-# From this joint-space size up, enumerate_cc_pne finds each line's runner-up
-# by a pairwise tournament over a contiguous copy; below it one np.partition
-# call costs less. Measured per call on the airport games (q > 0): the
-# tournament takes 1.18x partition's time at 256 profiles, 1.00x at 1024,
-# 0.87x at 2048; at 16384 partition costs 75-380 us per agent.
-_TOURNAMENT_MIN_JOINT = 2048
 
 
 @dataclass(frozen=True)
@@ -219,16 +213,16 @@ def ccce_program(game: FiniteGame, q, sys_cost) -> LinearProgram:
     Raises MemoryError, before anything is allocated, when the program is not
     expected to fit in the memory available.
     """
-    objective = np.ascontiguousarray(sys_cost, dtype=float)
-    if objective.shape != (game.num_joint,):
-        raise ValueError("sys_cost must assign one finite value per joint action")
-    if not np.all(np.isfinite(objective)):
-        raise ValueError("sys_cost must be finite everywhere")
     nonzeros = game.num_joint * (sum(m - 1 for m in game.action_counts) + 1)
     needed, available = nonzeros * BYTES_PER_NONZERO, _available_memory_bytes()
     if needed > available:
         raise MemoryError(f"selection program with {nonzeros} nonzeros needs about "
                           f"{needed / 2**20:.0f} MB; {available / 2**20:.0f} MB available")
+    objective = np.ascontiguousarray(sys_cost, dtype=float)  # materializes a lazy table
+    if objective.shape != (game.num_joint,):
+        raise ValueError("sys_cost must assign one finite value per joint action")
+    if not np.all(np.isfinite(objective)):
+        raise ValueError("sys_cost must be finite everywhere")
     index, value = assemble_ce_constraints(game, q)
     num_incentive = sum(m * (m - 1) for m in game.action_counts)
     row_upper = np.append(np.zeros(num_incentive), 1.0)
@@ -312,54 +306,13 @@ def is_cc_pne(game: FiniteGame, profile, q) -> bool:
     Deterministic equivalent check: for every agent and every alternative,
     the nominal deviation margin plus the agent's tightening q_i must be
     nonpositive, i.e. ``cost + q_i <= min over the other actions`` on the
-    line of the agent's own actions through the profile. Costs
-    sum_i (m_i - 1) comparisons.
+    agent's line through the profile; that minimum is cached per game
+    (:attr:`FiniteGame.alternative_minima`).
     """
-    q = _tightenings(game, q).tolist()
-    flat = flat_index(profile, game.action_counts)  # validates ranges
-    stride = game.num_joint
-    for i, m in enumerate(game.action_counts):
-        stride //= m
-        if m == 1:
-            continue
-        action = flat // stride % m
-        start = flat - action * stride
-        line = game.costs[i, start:start + m * stride:stride].copy()
-        own = line[action]
-        line[action] = math.inf  # the line's minimum is now over the other actions
-        if own + q[i] > line.min():
-            return False
-    return True
-
-
-def _own_action_first(cost: np.ndarray) -> np.ndarray:
-    """A contiguous [own action, before, after] copy of a [before, own action,
-    after] cost view: numpy reduces a middle axis slowly when ``after`` is
-    short, and reduces the leading axis of this copy row by row."""
-    return np.ascontiguousarray(cost.transpose(1, 0, 2))
-
-
-def _two_smallest(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and second smallest entry along axis 0, a tied minimum
-    counting twice, by a pairwise tournament: about 2 + 4 log2(m) elementwise
-    calls over contiguous halves instead of one partitioned copy."""
-    half = len(lines) // 2
-    a, b = lines[:half], lines[half:2 * half]
-    lo, second = np.minimum(a, b), np.maximum(a, b)
-    if len(lines) % 2:  # fold the unpaired last row into pair 0
-        np.minimum(second[0], np.maximum(lo[0], lines[-1]), out=second[0])
-        np.minimum(lo[0], lines[-1], out=lo[0])
-    while len(lo) > 1:
-        if len(lo) % 2:
-            np.minimum(second[0], second[-1], out=second[0])
-            np.minimum(second[0], np.maximum(lo[0], lo[-1]), out=second[0])
-            np.minimum(lo[0], lo[-1], out=lo[0])
-            lo, second = lo[:-1], second[:-1]
-        half = len(lo) // 2
-        a, b = lo[:half], lo[half:]
-        second = np.minimum(np.maximum(a, b), np.minimum(second[:half], second[half:]))
-        lo = np.minimum(a, b)
-    return lo[0], second[0]
+    q = _tightenings(game, q)
+    flat_index(profile, game.action_counts)  # validates ranges
+    entries = game.line_entries([int(c) for c in profile])
+    return not (game.flat_lines[entries] + q > game.alternative_minima[entries]).any()
 
 
 def enumerate_cc_pne(game: FiniteGame, q, limit: int | None = None) -> np.ndarray:
@@ -370,52 +323,27 @@ def enumerate_cc_pne(game: FiniteGame, q, limit: int | None = None) -> np.ndarra
     nonnegative and truncates to the first matches; a joint space larger than
     :data:`cceq.game.JOINT_SPACE_CAP` raises :class:`BudgetExceededError`.
 
-    Agent i passes at a profile iff ``cost + q_i <= min over its other
-    actions`` on the line of its own actions through the profile, the test of
-    :func:`is_cc_pne`, decided from per-line statistics: with ``q_i <= 0``
-    it is ``cost + q_i <= line minimum`` (the action itself is no obstacle,
-    ``cost + q_i <= cost``); with ``q_i > 0`` only a minimizer can pass, and
-    it does iff ``minimum + q_i <= runner-up``, a tied minimum being its own
-    runner-up.
+    Agent i passes at a profile by the test of :func:`is_cc_pne`, read from
+    its lines: ``cost + q_i <= min over its other actions`` at its opponent
+    key. An agent's candidates are the actions that pass at some key, and
+    only the product of the candidate sets is checked.
     """
-    q = _tightenings(game, q).tolist()
+    q = _tightenings(game, q)
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit!r}")
     check_joint_space(game.action_counts)
-    ok = None
-    cost_ulp = None  # ulp of the largest cost magnitude, computed on first need
-    after = game.num_joint
-    for i, m in enumerate(game.action_counts):
-        after //= m
-        if m == 1:
-            continue
-        cost = game.costs[i].reshape(-1, m, after)  # [before, own action, after]
-        if m > 2 and q[i] > 0.0:
-            if game.num_joint < _TOURNAMENT_MIN_JOINT:
-                two = np.partition(cost, 1, axis=1)
-                lo, second = two[:, :1], two[:, 1:2]
-                if cost_ulp is None:
-                    cost_ulp = math.ulp(float(np.abs(game.costs).max()))
-                q_beyond_ulp = q[i] > cost_ulp
-            else:
-                lo, second = _two_smallest(_own_action_first(cost))
-                lo, second = lo[:, None], second[:, None]
-                q_beyond_ulp = False  # here both tests cost about the same
-            if q_beyond_ulp:
-                # cost + q > cost for every cost, so only a unique minimizer
-                # can stay within the runner-up: two calls instead of four
-                passes = cost + q[i] <= second
-            else:
-                # a minimizer passes iff it beats the runner-up by q; NaN matches nothing
-                passes = cost == np.where(lo + q[i] <= second, lo, np.nan)
-        else:  # q <= 0, or two actions: the other one, as a view, is the bar
-            bar = cost[:, ::-1] if m == 2 else _own_action_first(cost).min(axis=0)[:, None]
-            passes = (cost + q[i] if q[i] else cost) <= bar
-        if ok is None:
-            ok = passes.reshape(-1)
-        else:
-            ok &= passes.reshape(-1)
-    flats = np.nonzero(ok)[0] if ok is not None else np.arange(game.num_joint)
+    passes = game.flat_lines + q[game.entry_agents] <= game.alternative_minima
+    rows = np.flatnonzero(np.bincount(game.entry_rows, passes, sum(game.action_counts)))
+    # candidate rows, agent by agent, and each agent's first one
+    first = rows.searchsorted(game.offsets)
+    bounds = [*first.tolist(), len(rows)]
+    sizes = [end - start for start, end in zip(bounds, bounds[1:])]
+    if min(sizes) == max(sizes) == 1:  # one candidate each: one profile
+        grid = rows[:, None]
+    else:  # the candidates' product, agent 0 most significant
+        grid = rows[np.add(np.unravel_index(np.arange(math.prod(sizes)), sizes), first[:, None])]
+    located = game.point_weights[:, grid].sum(axis=1)
+    flats = located[-1][passes[located[:-1]].all(axis=0)]
     if limit is not None:
         flats = flats[: int(limit)]
     return flats
@@ -430,13 +358,11 @@ def solve_reduced_rank(game: FiniteGame, flats: np.ndarray, sys_cost) -> RrSolut
     """
     if len(flats) == 0:
         return RrSolution(LpStatus.INFEASIBLE)
-    values = np.asarray(sys_cost, dtype=float)[flats]
+    values = np.asarray(sys_cost[flats], dtype=float)
     best = int(np.argmin(values))  # first minimum: lowest-index tie rule
     weights = np.zeros(len(values))
     weights[best] = 1.0
-    mass = np.zeros(game.num_joint)
-    mass[flats[best]] = 1.0
-    induced = JointDistribution(mass, game.action_counts)
+    induced = JointDistribution.at(int(flats[best]), game.action_counts)
     return RrSolution(LpStatus.OPTIMAL, weights, induced, float(values[best]))
 
 

@@ -1,4 +1,4 @@
-"""Finite normal-form games with dense joint-action cost tables.
+"""Finite normal-form games, stored per agent as lines of its own actions' costs.
 
 Joint actions are indexed two ways: as per-agent coordinate tuples and as a
 flat mixed-radix index with agent 0 most significant. The flat order matches
@@ -9,8 +9,10 @@ agent.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -85,55 +87,163 @@ def unflatten(flat, action_counts) -> tuple[int, ...]:
     return tuple(reversed(coords))
 
 
-@dataclass(frozen=True)
 class FiniteGame:
-    """A finite game: per-agent costs over the full joint action space.
+    """A finite game, stored per agent as cost lines over opponent keys.
 
-    ``costs[i, k]`` is agent ``i``'s cost at the joint action with flat index
-    ``k``. Instances are immutable (arrays are marked read-only) and safe to
-    share across threads.
+    ``lines[i][a, k]`` is agent i's cost for its action a when the others
+    play a joint action with key k. Row ``offsets[i] + a`` stands for agent
+    i's action a, and agent i's key at the joint action x is
+    ``sum_j key_weights[i, offsets[j] + x_j]`` (zero over agent i's own
+    rows). Column k of ``lines[i]`` is the line of agent i's own actions
+    against one play of the others, so every incentive an agent has is read
+    off its lines. ``FiniteGame(action_counts, costs)`` takes dense tables
+    and keys each agent's lines by the others' mixed-radix index;
+    :meth:`from_lines` takes lines directly. ``costs[i, k]``, agent i's cost
+    at flat joint index k, is gathered from the lines on first access and
+    cached. Arrays are read-only.
     """
 
-    action_counts: tuple[int, ...]
-    costs: np.ndarray
-    action_labels: tuple[tuple[str, ...], ...] | None = None
-
-    def __post_init__(self):
-        counts = tuple(int(m) for m in self.action_counts)
-        if len(counts) < 1:
-            raise ValueError("game needs at least one agent")
-        if any(m < 1 for m in counts):
-            raise ValueError("every agent needs at least one action")
-        object.__setattr__(self, "action_counts", counts)
-
-        costs = np.ascontiguousarray(self.costs, dtype=float)
+    def __init__(self, action_counts, costs, action_labels=None):
+        counts = _action_counts(action_counts)
+        costs = np.ascontiguousarray(costs, dtype=float)
         expected = (len(counts), joint_space_size(counts))
         if costs.shape != expected:
             raise ValueError(f"costs shape {costs.shape}, expected {expected}")
-        if not np.all(np.isfinite(costs)):
-            raise ValueError("costs must be finite for every agent and joint action")
+        lines = [np.moveaxis(costs[i].reshape(counts), i, 0).reshape(m, -1)
+                 for i, m in enumerate(counts)]
+        offsets = [0, *itertools.accumulate(counts[:-1])]
+        key_weights = np.zeros((len(counts), sum(counts)), dtype=np.intp)
+        for i in range(len(counts)):  # the others' mixed-radix index, agent 0 most significant
+            stride = 1
+            for j in reversed(range(len(counts))):
+                if j != i:
+                    start = offsets[j]
+                    key_weights[i, start:start + counts[j]] = stride * np.arange(counts[j])
+                    stride *= counts[j]
+        self._setup(counts, lines, key_weights, action_labels)
         costs.setflags(write=False)
-        object.__setattr__(self, "costs", costs)
+        self.__dict__["costs"] = costs
 
-        if self.action_labels is not None:
-            labels = tuple(tuple(str(s) for s in own) for own in self.action_labels)
-            if len(labels) != len(counts) or any(
-                len(own) != m for own, m in zip(labels, counts)
+    @classmethod
+    def from_lines(cls, action_counts, lines, key_weights, action_labels=None) -> "FiniteGame":
+        """A game from per-agent lines, ``lines[i]`` of shape (m_i, K_i), and
+        integer key weights of shape (agents, sum_i m_i) that map every joint
+        action to a key in [0, K_i) for each agent i."""
+        game = cls.__new__(cls)
+        game._setup(_action_counts(action_counts), lines, key_weights, action_labels)
+        return game
+
+    def _setup(self, counts, lines, key_weights, action_labels):
+        n = len(counts)
+        lines = [np.asarray(line, dtype=float) for line in lines]
+        if len(lines) != n or any(line.ndim != 2 or len(line) != m
+                                  for line, m in zip(lines, counts)):
+            raise ValueError("need one (own actions, keys) line table per agent")
+        self.action_counts = counts
+        self.num_joint = math.prod(counts)
+        self.offsets = np.array([0, *itertools.accumulate(counts[:-1])])
+        # of the flat joint index, agent 0 most significant
+        self.strides = np.array([*itertools.accumulate(counts[:0:-1], operator.mul,
+                                                       initial=1)][::-1])
+        widths = [line.shape[1] for line in lines]
+        # every agent's lines, key by key: a slot, one per (agent i, key) in
+        # that order, holds agent i's costs at the key, counts[i] entries
+        # from key_starts[slot]
+        self.flat_lines = np.concatenate([line.T.reshape(-1) for line in lines])
+        if not np.isfinite(self.flat_lines).all():
+            raise ValueError("costs must be finite for every agent and joint action")
+        self.flat_lines.setflags(write=False)
+        slot_agents = np.repeat(np.arange(n), np.array(widths))
+        slot_lengths = np.array(counts)[slot_agents]
+        self.key_starts = np.cumsum(slot_lengths) - slot_lengths
+        starts = self.key_starts[[0, *itertools.accumulate(widths[:-1])]]
+        self.lines = tuple(self.flat_lines[start:start + m * width].reshape(width, m).T
+                           for start, m, width in zip(starts.tolist(), counts, widths))
+        weights = np.asarray(key_weights, dtype=np.intp)
+        row_agents = np.repeat(np.arange(n), np.array(counts))
+        own = row_agents == np.arange(n)[:, None]
+        if (weights.shape != (n, len(row_agents)) or weights.min() < 0 or weights[own].any()
+                or (np.maximum.reduceat(weights, self.offsets, axis=1).sum(axis=1)
+                    >= widths).any()):
+            raise ValueError("key weights must map every joint action into each agent's keys")
+        weights.setflags(write=False)
+        self.key_weights = weights
+        # sum_j point_weights[:, offsets[j] + x_j] holds, at the joint action
+        # x, each agent's entry in flat_lines (its first slot's start, plus
+        # counts[i] entries per key, plus x_i) and, last, x's flat index
+        actions = np.arange(len(row_agents)) - self.offsets[row_agents]
+        self.point_weights = np.vstack((weights * np.array(counts)[:, None],
+                                        self.strides[row_agents] * actions))
+        self.point_weights[:-1][own] = starts[row_agents] + actions
+        # of each entry of flat_lines: its slot, its agent and its row
+        self.entry_slots = np.repeat(np.arange(len(slot_lengths)), slot_lengths)
+        self.entry_agents = slot_agents[self.entry_slots]
+        self.entry_rows = np.arange(len(self.flat_lines)) - (
+            self.key_starts - self.offsets[slot_agents])[self.entry_slots]
+        if action_labels is not None:
+            action_labels = tuple(tuple(str(s) for s in own) for own in action_labels)
+            if len(action_labels) != n or any(
+                len(own) != m for own, m in zip(action_labels, counts)
             ):
                 raise ValueError("action_labels must match action_counts")
-            object.__setattr__(self, "action_labels", labels)
+        self.action_labels = action_labels
 
     @property
     def num_agents(self) -> int:
         return len(self.action_counts)
 
-    @property
-    def num_joint(self) -> int:
-        return self.costs.shape[1]
+    def coordinates(self, flats) -> np.ndarray:
+        """Agents' actions, shape (agents, ...), at the flat joint indices ``flats``."""
+        counts = np.reshape(self.action_counts, (-1,) + (1,) * np.ndim(flats))
+        return np.asarray(flats) // self.strides.reshape(counts.shape) % counts
+
+    def line_entries(self, coords) -> np.ndarray:
+        """Positions in ``flat_lines`` of each agent's cost, shape (agents, ...),
+        at the joint actions with coordinates ``coords`` (agents first); agent
+        i's whole line through the joint action starts ``coords[i]`` before."""
+        coords = np.asarray(coords)
+        rows = coords + self.offsets.reshape((-1,) + (1,) * (coords.ndim - 1))
+        return self.point_weights[:-1, rows].sum(axis=1)
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        """Dense tables, ``costs[i, k]`` agent i's cost at flat joint index k."""
+        n = self.num_agents
+        # every agent's entry at every joint action, summed along the joint grid's axes
+        entries = sum(self.point_weights[:-1, self.offsets[j] + np.arange(m).reshape(
+            [m if k == j else 1 for k in range(n)])] for j, m in enumerate(self.action_counts))
+        costs = self.flat_lines[entries.reshape(n, -1)]
+        costs.setflags(write=False)
+        return costs
+
+    @cached_property
+    def alternative_minima(self) -> np.ndarray:
+        """Laid out like ``flat_lines``: at agent i's action a and key k, the
+        least cost of the agent's other actions at k (inf with no other).
+        Every agent's line minima and runner-ups (a tied minimum counting
+        twice) come from a few calls over all lines at once."""
+        flat, starts, slots = self.flat_lines, self.key_starts, self.entry_slots
+        low = np.minimum.reduceat(flat, starts)
+        low_at = low[slots]
+        is_low = flat == low_at
+        second = np.minimum.reduceat(np.where(is_low, np.inf, flat), starts)
+        second = np.where(np.bincount(slots, is_low, len(starts)) > 1, low, second)
+        bars = np.where(is_low, second[slots], low_at)
+        bars.setflags(write=False)
+        return bars
 
     def cost_grid(self, agent: int) -> np.ndarray:
         """Agent's cost table reshaped to the action-counts grid (read-only view)."""
         return self.costs[agent].reshape(self.action_counts)
+
+
+def _action_counts(action_counts) -> tuple[int, ...]:
+    counts = tuple(int(m) for m in action_counts)
+    if len(counts) < 1:
+        raise ValueError("game needs at least one agent")
+    if any(m < 1 for m in counts):
+        raise ValueError("every agent needs at least one action")
+    return counts
 
 
 @dataclass(frozen=True)
@@ -164,9 +274,22 @@ class JointDistribution:
     @classmethod
     def point_mass(cls, coords, action_counts) -> "JointDistribution":
         """Distribution concentrated on a single joint action."""
-        mass = np.zeros(joint_space_size(action_counts))
-        mass[flat_index(coords, action_counts)] = 1.0
-        return cls(mass, tuple(action_counts))
+        counts = tuple(int(m) for m in action_counts)
+        return cls.at(flat_index(coords, counts), counts)
+
+    @classmethod
+    def at(cls, flat: int, action_counts: tuple[int, ...]) -> "JointDistribution":
+        """The point mass at flat joint index ``flat``, which must be in range
+        of ``action_counts``, a tuple of ints. It is valid by construction and
+        its support is known, so neither is computed from the mass vector."""
+        mass = np.zeros(math.prod(action_counts))
+        mass[flat] = 1.0
+        mass.setflags(write=False)
+        z = cls.__new__(cls)
+        object.__setattr__(z, "mass", mass)
+        object.__setattr__(z, "action_counts", action_counts)
+        z.__dict__["support"] = np.array([flat])
+        return z
 
     @property
     def grid(self) -> np.ndarray:
@@ -204,16 +327,15 @@ def incentive_gains(game: FiniteGame, z: JointDistribution):
         raise ValueError("distribution does not match the game's action space")
     support = z.support
     weight = z.mass[support]
+    coords = game.coordinates(support)
+    entries = game.line_entries(coords)
     out = []
-    stride = game.num_joint
     for i, m in enumerate(game.action_counts):
-        stride //= m
-        own = support // stride % m
-        cost = game.costs[i]
+        own = coords[i]
         # swapped[k, alt]: agent i's cost at support point k with its own action set to alt
-        swapped = cost[(support - own * stride)[:, None] + stride * np.arange(m)]
+        swapped = game.flat_lines[(entries[i] - own)[:, None] + np.arange(m)]
         gains = np.zeros((m, m))
-        np.add.at(gains, own, weight[:, None] * (cost[support][:, None] - swapped))
+        np.add.at(gains, own, weight[:, None] * (game.flat_lines[entries[i]][:, None] - swapped))
         out.append((gains, np.bincount(own, weights=weight, minlength=m)))
     return out
 

@@ -45,7 +45,7 @@ from .game import (
 )
 from .lp import LpStatus, SolverFailureError, load_highs
 from .uncertainty import substream, tightenings
-from .vq import VQInstance, build_game, fcfs_profile, generate_instance
+from .vq import SystemCost, VQInstance, build_game, fcfs_profile, generate_instance
 
 __all__ = [
     "CSV_COLUMNS",
@@ -263,11 +263,19 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
     if len(etas) != game.num_agents:
         raise ValueError(f"expected {game.num_agents} etas, got {len(etas)}")
 
+    if z.support.size == 1:  # a point mass: each agent's row is its line through rec
+        weight = z.mass[z.support[0]]
+        rows = []
+        for i, (m, entry) in enumerate(zip(game.action_counts, game.line_entries(rec).tolist())):
+            costs = game.flat_lines[entry - rec[i]:entry - rec[i] + m]
+            rows.append((weight * (costs[rec[i]] - costs), weight))
+    else:
+        rows = [(gains[rec[i]], marginals[rec[i]])
+                for i, (gains, marginals) in enumerate(incentive_gains(game, z))]
     final = list(rec)
-    for i, (gains, marginals) in enumerate(incentive_gains(game, z)):
-        row = gains[rec[i]]
-        if marginals[rec[i]] > 0.0:  # a zero-marginal row is all zeros: vacuous
-            row = row / marginals[rec[i]]
+    for i, (row, marginal) in enumerate(rows):
+        if marginal > 0.0:  # a zero-marginal row is all zeros: vacuous
+            row = row / marginal
         margins = row + etas[i]
         margins[rec[i]] = -np.inf
         best = int(np.argmax(margins))  # first maximum: lowest-index tie rule
@@ -309,7 +317,7 @@ class LoweredTrial(NamedTuple):
 
     instance: VQInstance
     game: FiniteGame | None
-    sys_cost: np.ndarray | None
+    sys_cost: SystemCost | None
     q: np.ndarray | None
     etas: tuple[float, ...]
 
@@ -369,6 +377,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
         )
     if method == METHOD_FULL_CCCE:
         load_highs()  # loads the solver module once (~10 ms), outside solve_seconds
+        # the LP reads the tables over the joint space; building them is
+        # lowering, outside solve_seconds, as when they were the game's only form
+        game.costs, np.asarray(sys_cost)
 
     start = time.perf_counter()
     try:

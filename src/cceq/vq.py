@@ -19,6 +19,7 @@ flights still share the congestion penalty.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -31,6 +32,7 @@ __all__ = [
     "AircraftClass",
     "DEFAULT_CLASS_WEIGHTS",
     "Flight",
+    "SystemCost",
     "VQInstance",
     "build_game",
     "fcfs_profile",
@@ -225,24 +227,24 @@ def fcfs_profile(instance: VQInstance) -> tuple[int, ...]:
 def build_game(instance: VQInstance):
     """Lower the instance to a FiniteGame plus the coordinator's cost table.
 
-    Returns ``(game, sys_cost)`` where agent i's cost table is its
-    class-weighted fleet delay and ``sys_cost[k]`` is the unweighted total at
-    flat joint index k. A joint space above ``JOINT_SPACE_CAP`` raises
+    Returns ``(game, sys_cost)``: agent i's cost is its class-weighted fleet
+    delay, and ``sys_cost``, a :class:`SystemCost`, is the unweighted total
+    by flat joint index. A joint space above ``JOINT_SPACE_CAP`` raises
     :class:`BudgetExceededError`.
 
     A flight's cost depends on the other airlines only through the runway
     state, the number of flights released on each runway. So each flight is
-    priced once per (held or released, runway state), each airline's costs
-    are folded over its flights on an (own action, runway state) table, and
-    one gather per airline fills its joint table; the system cost is folded
-    on the joint grid, one index, one gather and one add per flight, in
-    buffers allocated once per call. Both folds run in
-    ascending flight id with the same float operations as pricing every
-    joint action flight by flight, so the tables are bit-identical to that.
+    priced once per (held or released, runway state), and each airline's
+    costs are folded over its flights on an (own action, runway state)
+    table. Its lines are read from that table, keyed by the runway states
+    the other airlines can produce: the mixed radix over their per-runway
+    flight counts, so that every key is reachable. No table over the joint
+    space is built. Both folds run in ascending flight id with the same float
+    operations as pricing every joint action flight by flight, so the games'
+    dense tables and the system cost are bit-identical to that.
     """
     counts = instance.action_counts
     check_joint_space(counts)
-    n = len(counts)
     flights = instance.flights
     epoch = instance.epoch_minutes
     runway = np.array([f.runway for f in flights], dtype=np.intp)
@@ -265,41 +267,98 @@ def build_game(instance: VQInstance):
     weights = np.array([instance.class_weights[f.aircraft_class] for f in flights])
     weighted = weights[:, None, None] * cost
 
-    # bits[i][b, a]: whether agent i's action a releases its b-th flight;
-    # state[k]: the runway state at flat joint index k
-    bits = [(np.arange(m) >> np.arange(len(owned))[:, None]) & 1
-            for m, owned in zip(counts, instance.airlines)]
-    state = np.zeros(counts, dtype=np.intp)
-    for i, owned in enumerate(instance.airlines):
-        steps = strides[[instance.flight_by_id[fid].runway for fid in owned]]
-        state += _along_axis((bits[i] * steps[:, None]).sum(axis=0), i, n)
-    # per gather: the table entry read at each joint index; the indices are
-    # in range, and mode="clip" lets np.take write to `out` unbuffered
-    index = np.empty_like(state)
-    gathered = np.empty(state.size)
+    # rows offsets[i] + a stand for airline i's action a, all airlines in turn
+    n, num_rows = len(counts), sum(counts)
+    first_rows = [0, *itertools.accumulate(counts[:-1])]
+    owned = [instance.owner_of[f.id] for f in flights]  # (airline, bit), ascending id
 
-    # tables[i][a, s]: agent i's cost in runway state s; its b-th flight
-    # (ascending id) is folded into rows [0, 2^b) and copied, released, into
-    # rows [2^b, 2^(b+1))
-    tables = [np.zeros((m, num_states)) for m in counts]
-    sys_cost = np.zeros(state.size)
-    for j, flight in enumerate(flights):  # ascending id, as VQInstance sorts them
-        i, bit = instance.owner_of[flight.id]
-        low = tables[i][:1 << bit]
-        np.add(low, weighted[j, 1], out=tables[i][1 << bit:2 << bit])
+    # table[row, s]: the row's airline's cost in runway state s; its b-th
+    # flight (ascending id) is folded into the action rows [0, 2^b) and
+    # copied, released, into rows [2^b, 2^(b+1))
+    table = np.zeros((num_rows, num_states))
+    for j, (i, bit) in enumerate(owned):
+        first = first_rows[i]
+        low = table[first:first + (1 << bit)]
+        np.add(low, weighted[j, 1], out=table[first + (1 << bit):first + (2 << bit)])
         low += weighted[j, 0]
-        np.add(state, _along_axis(num_states * bits[i][bit], i, n), out=index)
-        sys_cost += np.take(cost[j].reshape(-1), index.reshape(-1), out=gathered, mode="clip")
 
-    costs = np.empty((n, state.size))
-    for i, table in enumerate(tables):
-        np.add(state, _along_axis(num_states * np.arange(counts[i]), i, n), out=index)
-        np.take(table.reshape(-1), index.reshape(-1), out=costs[i], mode="clip")
-    return FiniteGame(action_counts=counts, costs=costs), sys_cost
+    # on_runway[r, row]: flights the row's action releases on runway r
+    owner, bit = np.array(owned).T
+    row_agent = np.arange(n).repeat(counts)
+    offsets = np.array(first_rows)
+    released = ((np.arange(num_rows) - offsets[row_agent]) >> bit[:, None] & 1) * (
+        row_agent == owner[:, None])
+    on_runway = (runway == np.arange(len(radix))[:, None]).astype(np.intp) @ released
+
+    # the others' radix per runway, and the strides of their mixed-radix key
+    others = radix - on_runway[:, offsets + np.array(counts) - 1].T
+    key_strides = np.cumprod(np.concatenate((np.ones((n, 1), np.intp), others[:, :-1]), axis=1),
+                             axis=1)
+    num_keys = others.prod(axis=1)
+    # the runway state at key k: own releases plus the key's per-runway digits
+    digits = np.arange(num_keys.max()) // key_strides[:, :, None] % others[:, :, None]
+    state = (strides @ on_runway)[:, None] + (strides @ digits)[row_agent]
+    entries = np.take(table, np.arange(num_rows)[:, None] * num_states + state)
+    lines = [entries[first:first + m, :k] for first, m, k in zip(offsets, counts, num_keys)]
+    key_weights = (key_strides @ on_runway) * (row_agent != np.arange(n)[:, None])
+    game = FiniteGame.from_lines(counts, lines, key_weights)
+
+    # flight j is bit `position` of the flat index: each agent's action
+    # occupies the bits above the later agents'
+    later_bits = [*itertools.accumulate((m.bit_length() - 1 for m in counts[:0:-1]), initial=0)]
+    return game, SystemCost(cost, np.array(later_bits[::-1])[owner] + bit, strides[runway])
 
 
-def _along_axis(vector: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """``vector`` as a view spanning ``axis`` of an ``ndim``-dimensional grid."""
-    shape = [1] * ndim
-    shape[axis] = vector.size
-    return vector.reshape(shape)
+class SystemCost:
+    """The coordinator's cost table of :func:`build_game`, the unweighted
+    delay total by flat joint index, evaluated where it is read.
+
+    ``cost[j, released, s]`` is flight j's cost in runway state s, flight j
+    is bit ``positions[j]`` of the flat index, and releasing it moves the
+    runway state by ``steps[j]``. Indexing by a flat index or an index array
+    prices those joint actions only: one gather and one accumulation over
+    the flights in ascending id. ``np.asarray`` folds the flights, in the
+    same order, over the whole joint space and caches the table, which later
+    indexing then reads; both are bit-identical.
+    """
+
+    def __init__(self, cost: np.ndarray, positions: np.ndarray, steps: np.ndarray):
+        num_flights, _, num_states = cost.shape
+        self._cost = cost.reshape(-1)
+        self._num_states = num_states
+        self._num_bits = int(positions.max()) + 1
+        self._positions = positions[:, None]
+        self._steps = steps
+        # flight j's entry in _cost at a joint action whose flights' bits are
+        # `released`: base[j] + released[j] * num_states + runway state, that
+        # is base + columns @ released (exact in floats, a BLAS product)
+        self._base = (np.arange(num_flights) * 2 * num_states)[:, None]
+        self._columns = steps + num_states * np.eye(num_flights)
+        self._dense = None
+
+    def __getitem__(self, flats):
+        """The system cost at a flat index (a float) or at an array of them."""
+        flats = np.asarray(flats)
+        if (flats >> self._num_bits).any():  # negative or past the joint space
+            raise IndexError(f"flat index out of range [0, {1 << self._num_bits})")
+        if self._dense is not None:
+            return self._dense[flats]
+        released = np.ravel(flats) >> self._positions & 1  # one row per flight
+        entries = (self._columns @ released).astype(np.intp) + self._base
+        total = np.add.accumulate(np.take(self._cost, entries), axis=0)[-1]
+        return total.reshape(flats.shape)[()]
+
+    def __array__(self, dtype=None, copy=None):
+        if self._dense is None:
+            # the same fold over the whole joint space, flight by flight, in
+            # buffers the size of the table
+            flats = np.arange(1 << self._num_bits)
+            positions = self._positions.ravel().tolist()
+            state = sum((flats >> position & 1) * step
+                        for position, step in zip(positions, self._steps.tolist()))
+            total = 0.0
+            for position, base in zip(positions, self._base.ravel().tolist()):
+                total = total + self._cost[base + self._num_states * (flats >> position & 1) + state]
+            self._dense = total
+            self._dense.setflags(write=False)
+        return self._dense.astype(dtype or float, copy=bool(copy))

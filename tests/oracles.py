@@ -5,7 +5,8 @@ package implementation: an erf-series normal CDF with bisection inversion, a
 loop-based chance-constrained CE feasibility checker (quantiles via scipy), a
 brute-force LP vertex enumerator, constructors for LPs with known optima, a
 dense view of the package's column-wise LPs, the incentive gains as one
-dense matrix product over the joint space, the LP form of the
+dense matrix product over the joint space, CC-PNE by comparing every
+alternative on the dense cost tables, the LP form of the
 reduced-rank program, and the airport scenario's cost model evaluated one
 joint action and one flight at a time (the reference for ``build_game``).
 ``build_game``'s earlier lowering on the whole action grid, flight by
@@ -184,6 +185,22 @@ def random_game(rng: np.random.Generator, max_agents: int = 3, max_actions: int 
     num_joint = int(np.prod(counts))
     costs = rng.integers(low, high + 1, size=(n, num_joint)).astype(float)
     return FiniteGame(counts, costs)
+
+
+def cc_pne_flats(game: FiniteGame, q) -> np.ndarray:
+    """Ascending flat indices of the CC-PNE under the tightenings ``q``, from
+    the dense tables alone: a profile passes when, for every agent and each
+    alternative action taken on its own, its cost plus q_i is at most the
+    alternative's cost against the same play of the others."""
+    counts = game.action_counts
+    ok = np.ones(counts, dtype=bool)
+    for i, m in enumerate(counts):
+        grid = np.moveaxis(game.costs[i].reshape(counts), i, 0)  # own action first
+        for alt in range(m):
+            passes = grid + q[i] <= grid[alt]
+            passes[alt] = True
+            ok &= np.moveaxis(passes, 0, i)
+    return np.flatnonzero(ok)
 
 
 def dense_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):

@@ -19,11 +19,13 @@ from cceq.game import (
     FiniteGame,
     JointDistribution,
     incentive_gains,
+    unflatten,
 )
 from cceq.lp import LpSolution, LpStatus, SolverFailureError
 from cceq.uncertainty import substream, tightenings
 from cceq.vq import build_game, generate_instance
 from oracles import (
+    cc_pne_flats,
     dense_constraints,
     enumerate_lp_vertices,
     eq_feasible,
@@ -194,14 +196,12 @@ def test_enumerate_sub_ulp_tightening_admits_no_worse_action():
     # the two actions costing 2 are still beaten by the one costing 1
     game = FiniteGame((3,), np.array([[1.0, 2.0, 2.0]]))
     q = tightenings(1e-20, 0.9, 1)
-    assert list(enumerate_cc_pne(game, q)) == [0]
+    assert list(enumerate_cc_pne(game, q)) == list(cc_pne_flats(game, q)) == [0]
     assert [is_cc_pne(game, (a,), q) for a in range(3)] == [True, False, False]
 
 
-# Action counts covering one action, two, 3..16 and more than 16, an
-# `after` (product of the later counts) below and at or above 16, and
-# joint spaces on both sides of the size where the runner-up search
-# switches from np.partition to the tournament.
+# Action counts covering one action, two, 3..16 and more than 16, an agent
+# with one action between or after others, and joint spaces from 1 to 2160.
 BRANCH_SHAPES = [
     (1,), (2,), (3,), (5, 2), (2, 17), (20, 3), (1, 3, 2), (2, 1, 20), (4, 16, 1),
     (17, 32), (5, 3, 7, 6), (4, 8, 20), (2, 20, 4, 4), (3, 2, 16, 6),
@@ -214,10 +214,6 @@ TIGHTENINGS = [(1.0, 0.2), (0.0, 0.9), (1e-20, 0.9), (1.0, 0.9), ((0.0, 1e-20, 1
 
 @pytest.mark.parametrize("counts", BRANCH_SHAPES, ids=str)
 def test_enumerate_matches_brute_force_on_every_branch(counts):
-    import cceq.equilibrium as eqmod
-
-    sizes = [int(np.prod(c)) for c in BRANCH_SHAPES]
-    assert min(sizes) < eqmod._TOURNAMENT_MIN_JOINT <= max(sizes)
     rng = np.random.default_rng(sum(counts))
     n, num_joint = len(counts), int(np.prod(counts))
     every = list(itertools.product(*[range(m) for m in counts]))
@@ -237,8 +233,32 @@ def test_enumerate_matches_brute_force_on_every_branch(counts):
             if alone is not None:  # the others, at sigma 0, pass everywhere
                 sigmas = tuple(s if j == alone else 0.0 for j, s in enumerate(sigmas))
             q = tightenings(sigmas, alpha, n)
-            expected = tuple(p for p in every if is_cc_pne(game, p, q))
+            expected = profiles(cc_pne_flats(game, q), counts)
+            checked = tuple(p for p in every if is_cc_pne(game, p, q))
+            assert checked == expected, (sigmas, alpha, alone)
             assert profiles(enumerate_cc_pne(game, q), counts) == expected, (sigmas, alpha, alone)
+
+
+# (flight count, trial, sigma, alpha) of airport games, master seed 0, where
+# every airline keeps more than one candidate action
+MANY_CANDIDATES = [(12, 7, 5.0, 0.3), (12, 3, 10.0, 0.2), (13, 15, 5.0, 0.1),
+                   (14, 28, 10.0, 0.2), (14, 0, 5.0, 0.1)]
+
+
+@pytest.mark.parametrize("num_flights, trial, sigma, alpha", MANY_CANDIDATES)
+def test_enumerate_on_airport_games_with_many_candidates(num_flights, trial, sigma, alpha):
+    instance = generate_instance(num_flights, 5,
+                                 seed=np.random.SeedSequence((0, 0, trial, num_flights)))
+    game, _ = build_game(instance)
+    q = tightenings(sigma, alpha, game.num_agents)
+    bars = np.split(game.alternative_minima, np.cumsum([line.size for line in game.lines])[:-1])
+    for line, q_i, bar in zip(game.lines, q, bars):
+        assert (line + q_i <= bar.reshape(line.shape)).any(axis=1).sum() > 1
+    expected = cc_pne_flats(game, q)
+    assert np.array_equal(enumerate_cc_pne(game, q), expected)
+    rng = np.random.default_rng(num_flights)
+    for flat in np.concatenate([expected, rng.integers(game.num_joint, size=50)]):
+        assert is_cc_pne(game, unflatten(flat, game.action_counts), q) == (flat in expected)
 
 
 def test_tightening_validation(intersection_game, half_device, intersection_sys_cost):

@@ -206,3 +206,37 @@ def test_game_dict_schema(intersection_game):
     doc["agents"] = 3
     with pytest.raises(ValueError):
         game_from_dict(doc)
+
+
+def test_lines_and_keys_reproduce_the_dense_tables():
+    # agent i's cost at a joint action is its line entry at (own action, key)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        game = random_game(rng, max_agents=4, max_actions=4)
+        flats = np.arange(game.num_joint)
+        coords = game.coordinates(flats)
+        assert [tuple(c) for c in coords.T] == [unflatten(k, game.action_counts) for k in flats]
+        for i, line in enumerate(game.lines):
+            keys = sum(game.key_weights[i, game.offsets[j] + c] for j, c in enumerate(coords))
+            assert np.array_equal(line[coords[i], keys], game.costs[i])
+        assert np.array_equal(game.flat_lines[game.line_entries(coords)], game.costs)
+        again = FiniteGame.from_lines(game.action_counts, game.lines, game.key_weights)
+        assert "costs" not in vars(again)
+        assert again.costs.tobytes() == game.costs.tobytes()
+
+
+def test_from_lines_validation():
+    lines = [np.zeros((2, 3)), np.zeros((3, 2))]
+    weights = np.array([[0, 0, 0, 1, 2], [0, 1, 0, 0, 0]])
+    assert FiniteGame.from_lines((2, 3), lines, weights).num_joint == 6
+    for bad_lines, bad_weights in [
+        (lines[:1], weights),                                   # one table for two agents
+        ([np.zeros((3, 3)), lines[1]], weights),                 # wrong own-action count
+        ([np.full((2, 3), np.nan), lines[1]], weights),          # NaN cost
+        (lines, np.array([[0, 0, 0, 1, 3], [0, 1, 0, 0, 0]])),   # key 3 beyond 3 keys
+        (lines, np.array([[0, 1, 0, 1, 2], [0, 1, 0, 0, 0]])),   # weight on an own row
+        (lines, np.array([[0, 0, 0, 1, -1], [0, 1, 0, 0, 0]])),  # negative weight
+        (lines, weights[:, :4]),                                 # a row missing
+    ]:
+        with pytest.raises(ValueError):
+            FiniteGame.from_lines((2, 3), bad_lines, bad_weights)

@@ -107,7 +107,7 @@ def test_single_airline_single_flight_is_bruteforce_optimal():
                               master_seed=3, sigma=0.0)
     inst = generate_instance(1, 1, seed=np.random.SeedSequence((3, 0, 0, 1)))
     game, sys_cost = build_game(inst)
-    best = float(sys_cost.min())
+    best = float(np.asarray(sys_cost).min())
     for method in ("full-ccce", "rr-nominal", "rr-ccce"):
         record = run_trial(config, 0, method, 1)
         assert record.status == STATUS_OK
@@ -454,6 +454,21 @@ def test_run_experiment_builds_one_game_per_trial(tmp_path, monkeypatch):
     result = run_experiment(config)
     assert len(result.records) == 2 * 3 * len(METHODS)
     assert calls == [6] * 3 + [7] * 3
+
+
+def test_rr_and_fcfs_trials_build_no_dense_tables():
+    # these methods read lines and single points; only full-ccce's LP needs
+    # the tables over the joint space
+    from cceq.harness import lower_trial
+    config = base_config(num_trials=4, flight_counts=(12,), sigma=1.0)
+    for trial in range(config.num_trials):
+        lowered = lower_trial(config, trial, 12)
+        for method in ("fcfs", "rr-nominal", "rr-ccce"):
+            assert run_trial(config, trial, method, 12, lowered).status in ("ok", "infeasible")
+        assert "costs" not in vars(lowered.game)
+        assert lowered.sys_cost._dense is None
+        run_trial(config, trial, "full-ccce", 12, lowered)
+        assert "costs" in vars(lowered.game) and lowered.sys_cost._dense is not None
 
 
 @pytest.mark.parametrize("overrides", [

@@ -35,5 +35,7 @@ def test_grid_trace_run_is_correct_and_attributed():
 
 def test_rr_large_trace_run_is_correct():
     # the benchmark's checks recount every rr row's CC-PNE set by brute force,
-    # here at 12..14 flights, where enumeration takes its large-grid path
-    traced_run("rr-large")
+    # here at 12..14 flights
+    report = traced_run("rr-large")
+    # 3 flight counts x 40 trials, each lowered once: lowering stays attributed
+    assert report["metrics"]["vq.build_game.calls"]["value"] == 120

@@ -195,8 +195,8 @@ def test_build_game_shapes_and_values():
     game, sys_cost = build_game(inst)
     assert game.action_counts == (4, 4, 4)
     assert game.num_joint == 64
-    assert sys_cost.shape == (64,)
-    assert (game.costs >= 0).all() and (sys_cost >= 0).all()
+    assert np.asarray(sys_cost).shape == (64,)
+    assert (game.costs >= 0).all() and (np.asarray(sys_cost) >= 0).all()
     for flat in range(64):
         coords = unflatten(flat, game.action_counts)
         for i in range(3):
@@ -224,8 +224,10 @@ def test_build_game_random_instance_cross_check():
     dict(congestion_threshold=1, lateness_threshold=4.0, epoch_minutes=2.5),
 ])
 def test_build_game_equals_the_grid_lowering_bit_for_bit(scenario):
-    # runway-state tables must reproduce every float of the flight-by-flight
-    # fold on the whole grid, for the agents' costs and the system cost
+    # runway-state lines must reproduce every float of the flight-by-flight
+    # fold on the whole grid, for the agents' costs and the system cost, both
+    # pointwise and materialized
+    rng = np.random.default_rng(5)
     for master_seed in range(3):
         for num_flights in range(5, 15):
             for trial in range(2):
@@ -233,9 +235,23 @@ def test_build_game_equals_the_grid_lowering_bit_for_bit(scenario):
                 inst = generate_instance(num_flights, 5, seed=seed, **scenario)
                 game, sys_cost = build_game(inst)
                 want_game, want_sys = grid_build_game(inst)
+                flats = rng.integers(game.num_joint, size=20)
                 assert game.action_counts == want_game.action_counts
-                assert np.array_equal(game.costs, want_game.costs)
-                assert np.array_equal(sys_cost, want_sys)
+                assert sys_cost[flats].tobytes() == want_sys[flats].tobytes()
+                assert [sys_cost[int(k)] for k in flats] == list(want_sys[flats])
+                assert game.costs.tobytes() == want_game.costs.tobytes()
+                assert np.asarray(sys_cost).tobytes() == want_sys.tobytes()
+                assert sys_cost[flats].tobytes() == want_sys[flats].tobytes()  # now read densely
+
+
+def test_system_cost_rejects_out_of_range_indices():
+    game, sys_cost = build_game(crafted_instance())
+    for materialized in (False, True):
+        if materialized:
+            np.asarray(sys_cost)
+        for bad in (-1, 64, [0, 64]):
+            with pytest.raises(IndexError):
+                sys_cost[bad]
 
 
 def test_flights_are_kept_in_id_order():
@@ -246,7 +262,8 @@ def test_flights_are_kept_in_id_order():
     assert [f.id for f in shuffled.flights] == list(range(9))
     game, sys_cost = build_game(shuffled)
     want_game, want_sys = grid_build_game(inst)
-    assert np.array_equal(game.costs, want_game.costs) and np.array_equal(sys_cost, want_sys)
+    assert np.array_equal(game.costs, want_game.costs)
+    assert np.array_equal(np.asarray(sys_cost), want_sys)
 
 
 def test_build_game_budget(monkeypatch):
