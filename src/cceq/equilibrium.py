@@ -1,10 +1,17 @@
 """Equilibrium selection programs over finite games.
 
-Covers the full pipeline: assembling (tightened) incentive-compatibility
-rows straight into the column-wise form the LP solver takes, solving the
-correlated-equilibrium selection LP, checking a given distribution,
-enumerating chance-constrained pure Nash equilibria (CC-PNE), the
-reduced-rank program over their convex hull, and sampling recommendations.
+Covers the full pipeline: assembling the (tightened) correlated-equilibrium
+selection LP straight into the column-wise form the LP solver takes, solving
+it, checking a given distribution, enumerating chance-constrained pure Nash
+equilibria (CC-PNE), the reduced-rank program over their convex hull, and
+sampling recommendations.
+
+The selection LP is written over each agent's cost lines: an agent's costs
+depend on the others only through its opponent key, so each incentive row
+reads the (own action, opponent key) marginals of the joint distribution z,
+which key rows tie to z (the compact form of Papadimitriou & Roughgarden
+2008). Only z's own columns, n + 1 nonzeros each, grow with the joint
+space; the incentive rows grow with the agents' lines.
 
 Chance constraints are never Monte-Carlo estimated here: each probabilistic
 incentive constraint is replaced by its exact deterministic equivalent, the
@@ -53,11 +60,13 @@ __all__ = [
 # Constraint replay tolerance, consistent with the LP module contract.
 FEASIBILITY_TOL = 1e-7
 # Peak RSS growth of one selection solve per constraint nonzero: assembly,
-# the column-wise program and HiGHS's own copy. Measured with ru_maxrss in a
-# child process (2-core Xeon, scipy 1.17.1): 101 B on the default grid's
-# largest program (14 flights, master seed 0, trial 9, sigma 1: 4.3M
-# nonzeros, 42 -> 458 MB), 105-114 B at 12 and 13 flights; rounded up.
-BYTES_PER_NONZERO = 120
+# the column-wise program and HiGHS's own copy, whose per-row and per-column
+# arrays weigh more on the smaller programs. Measured with ru_maxrss in a
+# child process (2-core Xeon, scipy 1.17.1, master seed 0, sigma 1): 149 B
+# on the default grid's largest program (14 flights, trial 9: 1.08M
+# nonzeros, 40 -> 193 MB), 163 B on the two largest at 13 flights and
+# 182-186 B on those at 12; rounded up.
+BYTES_PER_NONZERO = 190
 # What cgroup v1's memory.limit_in_bytes reads when no limit is set: the
 # largest int64 rounded down to a 4 KiB page.
 _CGROUP_V1_NO_LIMIT = 9223372036854771712
@@ -90,51 +99,69 @@ def _tightenings(game: FiniteGame, q) -> np.ndarray:
     return q
 
 
-def assemble_ce_constraints(game: FiniteGame, q) -> tuple[np.ndarray, np.ndarray]:
+def assemble_ce_constraints(game: FiniteGame, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Constraint columns of the (tightened) CE selection program.
 
-    Row (i, rec, alt) encodes, for agent i, recommendation rec and
-    alternative alt != rec, the unnormalized incentive constraint
+    The variables are z, one per joint action in flat order, then one key
+    marginal w_e per entry e = (agent i, key k, own action a) of
+    ``game.flat_lines``: the mass z puts on the joint actions where agent i
+    plays a against opponent key k. Agent i's costs depend on the others only
+    through its key, so its incentive row (i, rec, alt), for recommendation
+    rec and alternative alt != rec, reads w alone:
 
-        sum_{x_others} z(rec, x_others) * (J_i(rec, .) - J_i(alt, .) + q_i) <= 0,
+        sum_k (L_i[rec, k] - L_i[alt, k] + q_i) * w_(i, k, rec) <= 0,
 
-    i.e. ``incentive_gains(game, z)[i][0][rec, alt] + q_i * marginal(rec) <= 0``:
-    the deterministic equivalent of the conditional constraint whenever the
-    recommendation's marginal is positive, and vacuous (0 <= 0) when it is
-    zero. ``q`` holds one tightening q_i per agent (zeros for the nominal
-    program). Rows are ordered by agent, then rec, then alt, and
-    number R = sum_i m_i * (m_i - 1); row R is the probability-simplex row.
+    with w substituted ``incentive_gains(game, z)[i][0][rec, alt] + q_i *
+    marginal(rec) <= 0``: the deterministic equivalent of the conditional
+    constraint whenever the recommendation's marginal is positive, and
+    vacuous (0 <= 0) when it is zero. ``q`` holds one tightening q_i per agent
+    (zeros for the nominal program).
 
-    Returns ``(index, value)``, each of shape (num_joint, sum_i (m_i - 1) + 1):
-    joint action x's column holds, agent by agent, the rows (i, x_i, alt) for
-    each alt != x_i in ascending order, then a 1 in the simplex row, so row
-    indices ascend within every column.
+    Rows are the incentive rows, ordered by agent, then rec, then alt, and
+    numbering R = sum_i m_i * (m_i - 1); then row R, the probability simplex;
+    then row R + 1 + e, entry e's key row: the sum of z over its joint
+    actions, minus w_e, is 0.
+
+    Returns ``(start, index, value)``, the columns in compressed form. z's
+    column holds n + 1 ones: the simplex row, then each agent's key row at
+    the joint action. w_(i, k, a)'s column holds m_i entries: the rows
+    (i, a, alt) for each alt != a in ascending order, then -1 in its key
+    row. Row indices ascend within every column.
     """
     q = _tightenings(game, q)
-    counts = game.action_counts
-    width = sum(m - 1 for m in counts) + 1
-    index = np.empty((game.num_joint, width), dtype=np.int32)
-    value = np.empty((game.num_joint, width))
-    row0 = 0
-    col0 = 0
-    for i, m in enumerate(counts):
-        if m == 1:
-            continue
-        recs = np.arange(m)
-        slots = np.arange(m - 1)
-        alts = slots + (slots >= recs[:, None])
-        # entries[rec, ..., slot]: the joint grid with agent i's axis first
-        cost = np.moveaxis(game.cost_grid(i), i, 0)
-        entries = np.moveaxis(cost[:, None] - cost[alts] + q[i], 1, -1)
-        value[:, col0:col0 + m - 1] = np.moveaxis(entries, 0, i).reshape(-1, m - 1)
-        own = np.arange(m).reshape([m if k == i else 1 for k in range(len(counts))])
-        rows = row0 + (m - 1) * np.broadcast_to(own, counts).reshape(-1, 1) + slots
-        index[:, col0:col0 + m - 1] = rows
-        row0 += m * (m - 1)
-        col0 += m - 1
-    index[:, -1] = row0
-    value[:, -1] = 1.0
-    return index, value
+    counts = np.array(game.action_counts)
+    num_joint, flat, agents = game.num_joint, game.flat_lines, game.entry_agents
+    row_counts = counts * (counts - 1)
+    simplex_row = int(row_counts.sum())
+    z_width = len(counts) + 1
+    z_size = num_joint * z_width
+    widths = counts[agents]
+    ends = np.cumsum(widths)
+    index = np.empty(z_size + int(ends[-1]), dtype=np.int32)
+    value = np.empty(index.size)
+    z_index = index[:z_size].reshape(num_joint, z_width)
+    z_index[:, 0] = simplex_row
+    z_index[:, 1:] = game.joint_entries().T + (simplex_row + 1)
+    value[:z_size] = 1.0
+    # all agents' w columns at once: per nonzero, its place in its column,
+    # and its column's own action and line, each repeated over the column
+    own = game.entry_rows - game.offsets[agents]
+    place = np.arange(ends[-1]) - np.repeat(ends - widths, widths)
+    # at each place, the position in flat_lines of the alternative's cost,
+    # skipping the column's own action; a column's last place reads one past
+    # its line, and is then overwritten
+    alternatives = (np.repeat(np.arange(flat.size) - own, widths) + place
+                    + (place >= np.repeat(own, widths)))
+    padded = np.append(flat, 0.0)
+    value[z_size:] = (np.repeat(flat, widths) - padded[alternatives]
+                      + np.repeat(q[agents], widths))
+    first_rows = (np.cumsum(row_counts) - row_counts)[agents] + (widths - 1) * own
+    index[z_size:] = np.repeat(first_rows, widths) + place
+    last = z_size + ends - 1
+    value[last] = -1.0
+    index[last] = np.arange(simplex_row + 1, simplex_row + 1 + flat.size)
+    start = np.concatenate((np.arange(num_joint) * z_width, z_size + np.append(0, ends)))
+    return start, index, value
 
 
 def _read_small_file(path: str) -> str:
@@ -207,13 +234,25 @@ def _available_memory_bytes() -> float:
     return available
 
 
+def _selection_nonzeros(game: FiniteGame) -> int:
+    """Nonzeros of the selection program's constraint matrix (see
+    :func:`assemble_ce_constraints`), from the game's shape alone:
+    N * (n + 1) for z, plus m_i entries in each of agent i's m_i * K_i
+    w columns."""
+    return game.num_joint * (game.num_agents + 1) + sum(
+        m * m * line.shape[1] for m, line in zip(game.action_counts, game.lines))
+
+
 def ccce_program(game: FiniteGame, q, sys_cost) -> LinearProgram:
     """The selection LP: minimize expected system cost over the tightened CE polytope.
 
-    Raises MemoryError, before anything is allocated, when the program is not
-    expected to fit in the memory available.
+    Its variables are z over the joint actions, which the objective prices,
+    then the key marginals w, which it does not; rows and columns are laid
+    out by :func:`assemble_ce_constraints`. Raises MemoryError, before
+    anything is allocated, when the program is not expected to fit in the
+    memory available.
     """
-    nonzeros = game.num_joint * (sum(m - 1 for m in game.action_counts) + 1)
+    nonzeros = _selection_nonzeros(game)
     needed, available = nonzeros * BYTES_PER_NONZERO, _available_memory_bytes()
     if needed > available:
         raise MemoryError(f"selection program with {nonzeros} nonzeros needs about "
@@ -223,18 +262,17 @@ def ccce_program(game: FiniteGame, q, sys_cost) -> LinearProgram:
         raise ValueError("sys_cost must assign one finite value per joint action")
     if not np.all(np.isfinite(objective)):
         raise ValueError("sys_cost must be finite everywhere")
-    index, value = assemble_ce_constraints(game, q)
+    start, index, value = assemble_ce_constraints(game, q)
     num_incentive = sum(m * (m - 1) for m in game.action_counts)
-    row_upper = np.append(np.zeros(num_incentive), 1.0)
-    row_lower = np.append(np.full(num_incentive, -np.inf), 1.0)
+    num_keys = game.flat_lines.size
     return LinearProgram(
-        objective=objective,
-        start=np.arange(game.num_joint + 1) * index.shape[1],
+        objective=np.concatenate((objective, np.zeros(num_keys))),
+        start=start,
         index=index,
         value=value,
-        row_lower=row_lower,
-        row_upper=row_upper,
-        lower_bounds=np.zeros(game.num_joint),
+        row_lower=np.concatenate((np.full(num_incentive, -np.inf), np.ones(1), np.zeros(num_keys))),
+        row_upper=np.concatenate((np.zeros(num_incentive), np.ones(1), np.zeros(num_keys))),
+        lower_bounds=np.zeros(game.num_joint + num_keys),
     )
 
 
@@ -262,7 +300,8 @@ def solve_full_ccce(game: FiniteGame, q, sys_cost,
     # within the solver's feasibility tolerance a vertex can carry "ghost"
     # masses on joint actions whose incentive constraints fail; kept, their
     # tiny marginals would blow the normalized margins up
-    mass = np.where(solution.values < MASS_TOL, 0.0, solution.values)
+    z = solution.values[:game.num_joint]
+    mass = np.where(z < MASS_TOL, 0.0, z)
     mass /= mass.sum()
     dist = JointDistribution(mass, game.action_counts)
     worst = _worst_margin(game, dist, q)

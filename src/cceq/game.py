@@ -205,14 +205,19 @@ class FiniteGame:
         rows = coords + self.offsets.reshape((-1,) + (1,) * (coords.ndim - 1))
         return self.point_weights[:-1, rows].sum(axis=1)
 
+    def joint_entries(self) -> np.ndarray:
+        """Positions in ``flat_lines`` of each agent's cost at every joint
+        action, shape (agents, num_joint), in flat order."""
+        n = self.num_agents
+        # summed along the joint grid's axes
+        entries = sum(self.point_weights[:-1, self.offsets[j] + np.arange(m).reshape(
+            [m if k == j else 1 for k in range(n)])] for j, m in enumerate(self.action_counts))
+        return entries.reshape(n, -1)
+
     @cached_property
     def costs(self) -> np.ndarray:
         """Dense tables, ``costs[i, k]`` agent i's cost at flat joint index k."""
-        n = self.num_agents
-        # every agent's entry at every joint action, summed along the joint grid's axes
-        entries = sum(self.point_weights[:-1, self.offsets[j] + np.arange(m).reshape(
-            [m if k == j else 1 for k in range(n)])] for j, m in enumerate(self.action_counts))
-        costs = self.flat_lines[entries.reshape(n, -1)]
+        costs = self.flat_lines[self.joint_entries()]
         costs.setflags(write=False)
         return costs
 
@@ -231,10 +236,6 @@ class FiniteGame:
         bars = np.where(is_low, second[slots], low_at)
         bars.setflags(write=False)
         return bars
-
-    def cost_grid(self, agent: int) -> np.ndarray:
-        """Agent's cost table reshaped to the action-counts grid (read-only view)."""
-        return self.costs[agent].reshape(self.action_counts)
 
 
 def _action_counts(action_counts) -> tuple[int, ...]:

@@ -377,9 +377,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
         )
     if method == METHOD_FULL_CCCE:
         load_highs()  # loads the solver module once (~10 ms), outside solve_seconds
-        # the LP reads the tables over the joint space; building them is
-        # lowering, outside solve_seconds, as when they were the game's only form
-        game.costs, np.asarray(sys_cost)
+        # the LP's objective prices every joint action; pricing them is
+        # lowering, kept outside solve_seconds
+        np.asarray(sys_cost)
 
     start = time.perf_counter()
     try:

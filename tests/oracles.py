@@ -4,7 +4,9 @@ Everything here is written from the underlying math, separately from the
 package implementation: an erf-series normal CDF with bisection inversion, a
 loop-based chance-constrained CE feasibility checker (quantiles via scipy), a
 brute-force LP vertex enumerator, constructors for LPs with known optima, a
-dense view of the package's column-wise LPs, the incentive gains as one
+dense view of the package's column-wise LPs, the selection program written
+over the joint actions alone (the reference for the package's key-marginal
+form) and the substitution that projects the latter onto z, the incentive gains as one
 dense matrix product over the joint space, CC-PNE by comparing every
 alternative on the dense cost tables, the LP form of the
 reduced-rank program, and the airport scenario's cost model evaluated one
@@ -136,6 +138,88 @@ def dense_constraints(lp: LinearProgram):
     return matrix[ineq], lp.row_upper[ineq], matrix[eq], lp.row_upper[eq]
 
 
+def reference_ce_constraints(game: FiniteGame, q) -> tuple[np.ndarray, np.ndarray]:
+    """The selection program's constraints written over the joint actions
+    alone, the reference for the package's key-marginal form.
+
+    Row (i, rec, alt), ordered by agent, then rec, then alt, is
+    sum_{x_others} z(rec, x_others) * (J_i(rec, .) - J_i(alt, .) + q_i) <= 0;
+    row R = sum_i m_i * (m_i - 1) is the probability simplex. Returns
+    ``(index, value)``, each of shape (num_joint, sum_i (m_i - 1) + 1): joint
+    action x's column holds, agent by agent, the rows (i, x_i, alt) for each
+    alt != x_i in ascending order, then a 1 in the simplex row.
+    """
+    q = np.asarray(q, dtype=float)
+    counts = game.action_counts
+    width = sum(m - 1 for m in counts) + 1
+    index = np.empty((game.num_joint, width), dtype=np.int32)
+    value = np.empty((game.num_joint, width))
+    row0 = 0
+    col0 = 0
+    for i, m in enumerate(counts):
+        if m == 1:
+            continue
+        recs = np.arange(m)
+        slots = np.arange(m - 1)
+        alts = slots + (slots >= recs[:, None])
+        # entries[rec, ..., slot]: the joint grid with agent i's axis first
+        cost = np.moveaxis(game.costs[i].reshape(counts), i, 0)
+        entries = np.moveaxis(cost[:, None] - cost[alts] + q[i], 1, -1)
+        value[:, col0:col0 + m - 1] = np.moveaxis(entries, 0, i).reshape(-1, m - 1)
+        own = np.arange(m).reshape([m if k == i else 1 for k in range(len(counts))])
+        rows = row0 + (m - 1) * np.broadcast_to(own, counts).reshape(-1, 1) + slots
+        index[:, col0:col0 + m - 1] = rows
+        row0 += m * (m - 1)
+        col0 += m - 1
+    index[:, -1] = row0
+    value[:, -1] = 1.0
+    return index, value
+
+
+def reference_ccce_program(game: FiniteGame, q, sys_cost) -> LinearProgram:
+    """The selection LP over the joint actions alone, from
+    :func:`reference_ce_constraints`."""
+    index, value = reference_ce_constraints(game, q)
+    num_incentive = sum(m * (m - 1) for m in game.action_counts)
+    return LinearProgram(
+        objective=np.asarray(sys_cost, dtype=float),
+        start=np.arange(game.num_joint + 1) * index.shape[1],
+        index=index,
+        value=value,
+        row_lower=np.append(np.full(num_incentive, -np.inf), 1.0),
+        row_upper=np.append(np.zeros(num_incentive), 1.0),
+        lower_bounds=np.zeros(game.num_joint),
+    )
+
+
+def z_space_program(program: LinearProgram, num_joint: int) -> LinearProgram:
+    """The selection program with its key marginals w substituted out.
+
+    Its first ``num_joint`` variables are z; each later one, w, has a -1 in
+    exactly one equality row, which sets it to that row's z-part. Every
+    other row becomes ``A_z + A_w @ A_key,z`` over z alone, with its bounds,
+    and the objective keeps z's part (w must cost nothing).
+    """
+    matrix = np.zeros((program.num_constraints, program.num_vars))
+    matrix[program.index, np.repeat(np.arange(program.num_vars), np.diff(program.start))] = (
+        program.value)
+    a_z, a_w = matrix[:, :num_joint], matrix[:, num_joint:]
+    zero_rows = np.flatnonzero((program.row_lower == 0) & (program.row_upper == 0))
+    in_zero_rows = a_w[zero_rows] != 0
+    assert (in_zero_rows.sum(axis=0) == 1).all() and (in_zero_rows.sum(axis=1) == 1).all()
+    key_rows = zero_rows[in_zero_rows.argmax(axis=0)]  # w's own row, one w each
+    assert (a_w[key_rows, np.arange(a_w.shape[1])] == -1).all()
+    assert not program.objective[num_joint:].any()
+    kept = np.setdiff1d(np.arange(program.num_constraints), key_rows)
+    rows = a_z[kept] + a_w[kept] @ a_z[key_rows]
+    columns = rows.T
+    _, index = np.nonzero(columns)
+    start = np.concatenate([[0], np.cumsum(np.count_nonzero(columns, axis=1))])
+    return LinearProgram(program.objective[:num_joint], start, index, columns[columns != 0.0],
+                         program.row_lower[kept], program.row_upper[kept],
+                         program.lower_bounds[:num_joint])
+
+
 def solve_reduced_rank_lp(game: FiniteGame, flats, sys_cost) -> RrSolution:
     """LP formulation of ``solve_reduced_rank``: minimize cost over the
     simplex of weights on the profiles at ``flats``; must agree on the
@@ -209,7 +293,7 @@ def dense_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
     gains[rec, alt] = pairwise[rec, rec] - pairwise[rec, alt]."""
     m = game.action_counts[agent]
     zmat = np.moveaxis(z.grid, agent, 0).reshape(m, -1)
-    jmat = np.moveaxis(game.cost_grid(agent), agent, 0).reshape(m, -1)
+    jmat = np.moveaxis(game.costs[agent].reshape(game.action_counts), agent, 0).reshape(m, -1)
     pairwise = zmat @ jmat.T
     return np.diag(pairwise)[:, None] - pairwise, zmat.sum(axis=1)
 

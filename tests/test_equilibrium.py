@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+import cceq.equilibrium as eqmod
 import cceq.game
+from cceq import lp as lpmod
 from cceq.equilibrium import (
     assemble_ce_constraints,
     ccce_program,
@@ -32,7 +34,9 @@ from oracles import (
     eq_margins,
     profiles,
     random_game,
+    reference_ccce_program,
     solve_reduced_rank_lp,
+    z_space_program,
 )
 
 Q0 = np.zeros(2)
@@ -48,16 +52,24 @@ def canonical_ids(game):
 
 
 def incentive_rows(game, quantiles):
-    """The incentive rows of assemble_ce_constraints's columns, densified;
-    checks the simplex row and the ascending row order within each column."""
-    index, value = assemble_ce_constraints(game, quantiles)
-    width = sum(m - 1 for m in game.action_counts) + 1
-    assert index.shape == value.shape == (game.num_joint, width)
-    assert np.all(np.diff(index, axis=1) > 0)
-    dense = np.zeros((int(index.max()) + 1, game.num_joint))
-    dense[index, np.arange(game.num_joint)[:, None]] = value
-    assert np.array_equal(dense[-1], np.ones(game.num_joint))
-    return dense[:-1]
+    """The incentive rows of the selection program over z, its key marginals
+    substituted out, densified; checks assemble_ce_constraints's column
+    layout (n + 1 entries per z column, m_i per w column of agent i, row
+    indices ascending within each column) and that the simplex row, over z,
+    is all ones."""
+    start, index, value = assemble_ce_constraints(game, quantiles)
+    widths = np.diff(start)
+    assert np.array_equal(widths, np.concatenate((
+        np.full(game.num_joint, game.num_agents + 1),
+        np.array(game.action_counts)[game.entry_agents])))
+    assert index.size == value.size == start[-1]
+    within = np.ones(index.size - 1, dtype=bool)
+    within[start[1:-1] - 1] = False
+    assert np.all(np.diff(index)[within] > 0)
+    program = ccce_program(game, quantiles, np.zeros(game.num_joint))
+    a_ub, _, a_eq, b_eq = dense_constraints(z_space_program(program, game.num_joint))
+    assert np.array_equal(a_eq, np.ones((1, game.num_joint))) and np.array_equal(b_eq, [1.0])
+    return a_ub
 
 
 def test_assemble_row_order_canonical():
@@ -84,6 +96,45 @@ def test_assemble_tightened_intersection_game(intersection_game, half_device):
     assert float((rows @ half_device.mass).max()) <= 0.0  # margins -2, -4 vs 1.2816
     rows99 = incentive_rows(intersection_game, Q1_99)
     assert float((rows99 @ half_device.mass).max()) > 0.0  # -2 + 2.3263 > 0
+
+
+def key_marginal_cases():
+    """(game, sys_cost, q): random airport games, lowered through runway
+    states, and random dense-table games, under random tightenings."""
+    rng = np.random.default_rng(1414)
+    cases = []
+    for k in range(12):
+        game, sys_cost = build_game(generate_instance(
+            int(rng.integers(5, 9)), int(rng.integers(2, 5)), seed=1400 + k))
+        cases.append((game, np.asarray(sys_cost)))
+        game = random_game(rng, max_agents=4, max_actions=4)
+        cases.append((game, game.costs.sum(axis=0)))
+    return [(game, sys_cost, rng.choice([0.0, 1.0]) * rng.normal(size=game.num_agents))
+            for game, sys_cost in cases]
+
+
+def test_key_marginal_program_projects_onto_the_reference():
+    # with w substituted out, the rows are exactly those written over the
+    # joint actions alone, and both programs reach the same optimum
+    statuses = set()
+    for game, sys_cost, q in key_marginal_cases():
+        program = ccce_program(game, q, sys_cost)
+        reference = reference_ccce_program(game, q, sys_cost)
+        for ours, theirs in zip(dense_constraints(z_space_program(program, game.num_joint)),
+                                dense_constraints(reference), strict=True):
+            assert np.array_equal(ours, theirs)
+        ours, theirs = lpmod.solve(program), lpmod.solve(reference)
+        assert ours.status == theirs.status
+        statuses.add(ours.status)
+        if ours.status == LpStatus.OPTIMAL:
+            assert ours.objective_value == pytest.approx(theirs.objective_value, rel=1e-9, abs=1e-9)
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+
+def test_nonzero_count_matches_the_assembled_program(intersection_game):
+    for game, sys_cost, q in [*key_marginal_cases(),
+                              (intersection_game, np.zeros(4), np.zeros(2))]:
+        assert eqmod._selection_nonzeros(game) == ccce_program(game, q, sys_cost).value.size
 
 
 def test_assemble_missing_tightening(intersection_game):
@@ -140,7 +191,7 @@ def test_full_solve_matches_vertex_oracle_on_random_games(intersection_game):
         counts = (2, 2)
         game = FiniteGame(counts, rng.integers(-5, 6, size=(2, 4)).astype(float))
         sys_cost = game.costs.sum(axis=0)
-        program = ccce_program(game, np.zeros(2), sys_cost)
+        program = z_space_program(ccce_program(game, np.zeros(2), sys_cost), 4)
         vertices = enumerate_lp_vertices(*dense_constraints(program), 4)
         oracle = min(float(program.objective @ v) for v in vertices)
         result = solve_full_ccce(game, np.zeros(2), sys_cost)
@@ -484,8 +535,8 @@ def test_assemble_rows_consistent_with_check_margins():
 def test_full_solve_result_passes_the_check_on_airport_games(master_seed, num_flights, trial):
     # OPTIMAL results on the first two games can carry sub-1e-9 "ghost"
     # masses with worst normalized margins near 95 unless purged; the third,
-    # 65308 incentive rows by 16384 joint actions, is the default grid's
-    # largest selection LP (4.3M nonzeros, about 550 MB to solve)
+    # 16384 joint actions with 65308 incentive rows, is the default grid's
+    # largest selection LP (1.08M nonzeros, about 190 MB to solve)
     instance = generate_instance(
         num_flights, 5, seed=np.random.SeedSequence((master_seed, 0, trial, num_flights)))
     game, sys_cost = build_game(instance)

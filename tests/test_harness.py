@@ -122,11 +122,12 @@ def test_timeout_status():
 
 
 def test_timeout_stops_the_solve():
-    # the default grid's largest selection LP (65308 x 16384) needs about
-    # 0.8 s; the deadline is checked after assembly and the remainder of the
-    # 0.2 s budget becomes the solver's time limit
+    # the default grid's largest selection LP (1.08M nonzeros) needs about
+    # 0.04 s to assemble and 0.25 s to solve; the deadline is checked after
+    # assembly and the remainder of the 0.15 s budget becomes the solver's
+    # time limit
     config = ExperimentConfig(num_trials=10, flight_counts=(14,), sigma=1.0, num_airlines=5,
-                              master_seed=0, time_budget_per_solve=0.2)
+                              master_seed=0, time_budget_per_solve=0.15)
     start = time.perf_counter()
     record = run_trial(config, 9, "full-ccce", 14)
     assert record.status == "timeout"
@@ -457,8 +458,8 @@ def test_run_experiment_builds_one_game_per_trial(tmp_path, monkeypatch):
 
 
 def test_rr_and_fcfs_trials_build_no_dense_tables():
-    # these methods read lines and single points; only full-ccce's LP needs
-    # the tables over the joint space
+    # these methods read lines and single points; full-ccce's LP reads lines
+    # too, and only its objective, the system cost, over the joint space
     from cceq.harness import lower_trial
     config = base_config(num_trials=4, flight_counts=(12,), sigma=1.0)
     for trial in range(config.num_trials):
@@ -468,7 +469,19 @@ def test_rr_and_fcfs_trials_build_no_dense_tables():
         assert "costs" not in vars(lowered.game)
         assert lowered.sys_cost._dense is None
         run_trial(config, trial, "full-ccce", 12, lowered)
-        assert "costs" in vars(lowered.game) and lowered.sys_cost._dense is not None
+        assert "costs" not in vars(lowered.game) and lowered.sys_cost._dense is not None
+
+
+@pytest.mark.parametrize("sigma, num_flights, trial", [(5.0, 8, 27), (10.0, 10, 48)])
+def test_empty_tightened_polytopes_read_infeasible(sigma, num_flights, trial):
+    # no CC-CE exists on these trials: scipy's linprog finds the program
+    # infeasible with highs, highs-ds and highs-ipm. Written over the joint
+    # actions alone, it left HiGHS's dual simplex stopped with status
+    # Unknown, a solver-failure row
+    config = ExperimentConfig(num_trials=trial + 1, flight_counts=(num_flights,), sigma=sigma,
+                              alpha=0.9, num_airlines=5, master_seed=0)
+    record = run_trial(config, trial, "full-ccce", num_flights)
+    assert record.status == "infeasible"
 
 
 @pytest.mark.parametrize("overrides", [

@@ -13,7 +13,12 @@ from cceq.lp import (
     load_highs,
     solve,
 )
-from oracles import dense_constraints, enumerate_lp_vertices, lp_with_known_optimum
+from oracles import (
+    dense_constraints,
+    enumerate_lp_vertices,
+    lp_with_known_optimum,
+    z_space_program,
+)
 
 
 def scipy_solve(lp: LinearProgram):
@@ -88,9 +93,10 @@ def test_geq_constraints_via_negation():
 
 def test_intersection_game_ce_polytope_against_vertex_oracle(intersection_game, intersection_sys_cost):
     program = ccce_program(intersection_game, np.zeros(2), intersection_sys_cost)
-    vertices = enumerate_lp_vertices(*dense_constraints(program), 4)
+    over_z = z_space_program(program, 4)
+    vertices = enumerate_lp_vertices(*dense_constraints(over_z), 4)
     assert vertices, "CE polytope should not be empty"
-    oracle_opt = min(float(program.objective @ v) for v in vertices)
+    oracle_opt = min(float(over_z.objective @ v) for v in vertices)
     assert oracle_opt == pytest.approx(0.0, abs=1e-9)
     sol = solve(program)
     assert sol.status == LpStatus.OPTIMAL
