@@ -21,7 +21,6 @@ from .uncertainty import substream, tightenings
 from .lp import LinearProgram, LpSolution, LpStatus, SolverFailureError, solve
 from .equilibrium import (
     EquilibriumResult,
-    RrSolution,
     assemble_ce_constraints,
     check_ccce_feasibility,
     enumerate_cc_pne,

@@ -46,7 +46,6 @@ from .lp import LinearProgram, LpStatus, SolverFailureError
 __all__ = [
     "EquilibriumResult",
     "FEASIBILITY_TOL",
-    "RrSolution",
     "assemble_ce_constraints",
     "ccce_program",
     "check_ccce_feasibility",
@@ -78,16 +77,6 @@ class EquilibriumResult:
 
     status: LpStatus
     distribution: JointDistribution | None = None
-    objective: float | None = None
-
-
-@dataclass(frozen=True)
-class RrSolution:
-    """Reduced-rank solution: simplex weights over the CC-PNE profiles."""
-
-    status: LpStatus
-    weights: np.ndarray | None = None
-    induced: JointDistribution | None = None
     objective: float | None = None
 
 
@@ -304,17 +293,25 @@ def solve_full_ccce(game: FiniteGame, q, sys_cost,
     mass = np.where(z < MASS_TOL, 0.0, z)
     mass /= mass.sum()
     dist = JointDistribution(mass, game.action_counts)
-    worst = _worst_margin(game, dist, q)
-    if not worst <= FEASIBILITY_TOL:
+    feasible, worst = check_ccce_feasibility(game, dist, q)
+    if not feasible:
         raise SolverFailureError(
             f"selection LP result fails the CC-CE check: worst margin {worst:.6g}"
         )
     return EquilibriumResult(LpStatus.OPTIMAL, dist, float(solution.objective_value))
 
 
-def _worst_margin(game: FiniteGame, z: JointDistribution, q: np.ndarray) -> float:
-    """Largest normalized tightened incentive margin over the constraints with
-    positive recommendation marginal; -inf when there are none."""
+def check_ccce_feasibility(game: FiniteGame, z: JointDistribution, q) -> tuple[bool, float]:
+    """Check a distribution against every incentive constraint tightened by ``q``.
+
+    Returns ``(feasible, worst)`` where ``worst`` is the maximum over
+    constraints with positive recommendation marginal of the normalized
+    left-hand side (conditional expected deviation gain plus tightening), or
+    -inf when there are none; ``feasible`` means ``worst <=
+    FEASIBILITY_TOL``, the tolerance every selection result is certified
+    to. Zero-marginal constraints are vacuous and excluded from the maximum.
+    """
+    q = _tightenings(game, q)
     worst = -math.inf
     for i, (gains, marginals) in enumerate(incentive_gains(game, z)):
         positive = marginals > 0.0
@@ -322,21 +319,7 @@ def _worst_margin(game: FiniteGame, z: JointDistribution, q: np.ndarray) -> floa
         margins[~positive, :] = -math.inf
         np.fill_diagonal(margins, -math.inf)
         worst = max(worst, float(margins.max()))
-    return worst
-
-
-def check_ccce_feasibility(game: FiniteGame, z: JointDistribution, q,
-                           tol: float = FEASIBILITY_TOL) -> tuple[bool, float]:
-    """Check a distribution against every incentive constraint tightened by ``q``.
-
-    Returns ``(feasible, worst)`` where ``worst`` is the maximum over
-    constraints with positive recommendation marginal of the normalized
-    left-hand side (conditional expected deviation gain plus tightening);
-    ``feasible`` means ``worst <= tol``. Zero-marginal constraints are
-    vacuous and excluded from the maximum.
-    """
-    worst = _worst_margin(game, z, _tightenings(game, q))
-    return worst <= tol, worst
+    return worst <= FEASIBILITY_TOL, worst
 
 
 def is_cc_pne(game: FiniteGame, profile, q) -> bool:
@@ -377,10 +360,8 @@ def enumerate_cc_pne(game: FiniteGame, q, limit: int | None = None) -> np.ndarra
     first = rows.searchsorted(game.offsets)
     bounds = [*first.tolist(), len(rows)]
     sizes = [end - start for start, end in zip(bounds, bounds[1:])]
-    if min(sizes) == max(sizes) == 1:  # one candidate each: one profile
-        grid = rows[:, None]
-    else:  # the candidates' product, agent 0 most significant
-        grid = rows[np.add(np.unravel_index(np.arange(math.prod(sizes)), sizes), first[:, None])]
+    # the candidates' product, agent 0 most significant
+    grid = rows[np.add(np.unravel_index(np.arange(math.prod(sizes)), sizes), first[:, None])]
     located = game.point_weights[:, grid].sum(axis=1)
     flats = located[-1][passes[located[:-1]].all(axis=0)]
     if limit is not None:
@@ -388,21 +369,20 @@ def enumerate_cc_pne(game: FiniteGame, q, limit: int | None = None) -> np.ndarra
     return flats
 
 
-def solve_reduced_rank(game: FiniteGame, flats: np.ndarray, sys_cost) -> RrSolution:
+def solve_reduced_rank(game: FiniteGame, flats: np.ndarray, sys_cost) -> EquilibriumResult:
     """Minimize system cost over convex combinations of the pure profiles at
     the ascending flat indices ``flats``, e.g. :func:`enumerate_cc_pne`'s.
 
-    Closed form: all weight on the cheapest profile, ties broken toward the
-    lowest index. No profile at all yields an infeasible result.
+    The result has :func:`solve_full_ccce`'s form. Closed form: the point
+    mass on the cheapest profile, ties broken toward the lowest index, and
+    its cost; no profile at all yields an infeasible result.
     """
     if len(flats) == 0:
-        return RrSolution(LpStatus.INFEASIBLE)
+        return EquilibriumResult(LpStatus.INFEASIBLE)
     values = np.asarray(sys_cost[flats], dtype=float)
     best = int(np.argmin(values))  # first minimum: lowest-index tie rule
-    weights = np.zeros(len(values))
-    weights[best] = 1.0
-    induced = JointDistribution.at(int(flats[best]), game.action_counts)
-    return RrSolution(LpStatus.OPTIMAL, weights, induced, float(values[best]))
+    point = JointDistribution.at(int(flats[best]), game.action_counts)
+    return EquilibriumResult(LpStatus.OPTIMAL, point, float(values[best]))
 
 
 def sample_recommendation(z: JointDistribution, rng: np.random.Generator) -> tuple[int, ...]:

@@ -292,22 +292,10 @@ class JointDistribution:
         z.__dict__["support"] = np.array([flat])
         return z
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.mass.reshape(self.action_counts)
-
     @cached_property
     def support(self) -> np.ndarray:
         """Flat indices carrying strictly positive mass, ascending (computed once)."""
         return np.nonzero(self.mass > 0.0)[0]
-
-    def prob(self, coords) -> float:
-        return float(self.mass[flat_index(coords, self.action_counts)])
-
-    def marginal(self, agent: int, action: int) -> float:
-        """Probability that ``agent`` is recommended ``action``."""
-        sliced = np.moveaxis(self.grid, agent, 0)[action]
-        return float(sliced.sum())
 
 
 def incentive_gains(game: FiniteGame, z: JointDistribution):

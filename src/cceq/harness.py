@@ -19,17 +19,17 @@ column.
 from __future__ import annotations
 
 import csv
-import json
 import numbers
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .equilibrium import (
+    EquilibriumResult,
     enumerate_cc_pne,
     sample_recommendation,
     solve_full_ccce,
@@ -172,19 +172,10 @@ class ExperimentConfig:
             doc.setdefault("sigma", uncertainty.get("sigma", 0.0))
         if "out" in doc:
             doc["out_path"] = doc.pop("out")
-        kwargs = {}
-        for name in ("methods", "num_trials", "flight_counts", "alpha", "sigma",
-                     "num_airlines", "master_seed", "time_budget_per_solve",
-                     "out_path", "scenario"):
-            if name in doc:
-                kwargs[name] = doc.pop(name)
-        if doc:
-            raise ValueError(f"unknown config keys: {sorted(doc)}")
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**doc)
 
     def scenario_kwargs(self) -> dict:
         """Translate the scenario section into generate_instance keyword args."""
@@ -288,23 +279,23 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
 def _solve_for_method(method, instance, game, sys_cost, q, deadline):
     """Method dispatch for pipeline step 3, ``q`` being the trial's
     tightenings; returns (z, status, rr_size_d)."""
+    rr_size_d = None
     if method == METHOD_FCFS:
-        z = JointDistribution.point_mass(fcfs_profile(instance), game.action_counts)
-        return z, STATUS_OK, None
-    if method == METHOD_FULL_CCCE:
+        point = JointDistribution.point_mass(fcfs_profile(instance), game.action_counts)
+        result = EquilibriumResult(LpStatus.OPTIMAL, point)
+    elif method == METHOD_FULL_CCCE:
         result = solve_full_ccce(game, q, sys_cost, deadline=deadline)
-        if result.status != LpStatus.OPTIMAL:
-            return None, STATUS_INFEASIBLE, None
-        return result.distribution, STATUS_OK, None
-    if method in (METHOD_RR_NOMINAL, METHOD_RR_CCCE):
+    elif method in (METHOD_RR_NOMINAL, METHOD_RR_CCCE):
         if method == METHOD_RR_NOMINAL:
             q = np.zeros(game.num_agents)
         pne = enumerate_cc_pne(game, q)
-        rr = solve_reduced_rank(game, pne, sys_cost)
-        if rr.status != LpStatus.OPTIMAL:
-            return None, STATUS_INFEASIBLE, len(pne)
-        return rr.induced, STATUS_OK, len(pne)
-    raise ValueError(f"unknown method {method!r}")
+        rr_size_d = len(pne)
+        result = solve_reduced_rank(game, pne, sys_cost)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if result.status != LpStatus.OPTIMAL:
+        return None, STATUS_INFEASIBLE, rr_size_d
+    return result.distribution, STATUS_OK, rr_size_d
 
 
 class LoweredTrial(NamedTuple):
@@ -369,17 +360,22 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     if lowered is None:
         lowered = lower_trial(config, trial_index, num_flights)
     instance, game, sys_cost, q, etas = lowered
-    if game is None:
+    lowered_ok = game is not None
+    if lowered_ok and method == METHOD_FULL_CCCE:
+        # loading the solver module once (~10 ms) and pricing every joint
+        # action for the LP's objective are lowering, kept outside
+        # solve_seconds; running out of memory here fails the row
+        try:
+            load_highs()
+            np.asarray(sys_cost)
+        except MemoryError:
+            lowered_ok = False
+    if not lowered_ok:
         return TrialRecord(
             trial_index=trial_index, method=method, num_flights=num_flights,
             alpha=config.alpha, sigma=config.sigma,
             status=STATUS_SOLVER_FAILURE, solve_seconds=0.0,
         )
-    if method == METHOD_FULL_CCCE:
-        load_highs()  # loads the solver module once (~10 ms), outside solve_seconds
-        # the LP's objective prices every joint action; pricing them is
-        # lowering, kept outside solve_seconds
-        np.asarray(sys_cost)
 
     start = time.perf_counter()
     try:

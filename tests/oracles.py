@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import norm
 
 from cceq import lp as lpmod
-from cceq.equilibrium import RrSolution
+from cceq.equilibrium import EquilibriumResult
 from cceq.game import (
     BudgetExceededError,
     FiniteGame,
@@ -220,12 +220,12 @@ def z_space_program(program: LinearProgram, num_joint: int) -> LinearProgram:
                          program.lower_bounds[:num_joint])
 
 
-def solve_reduced_rank_lp(game: FiniteGame, flats, sys_cost) -> RrSolution:
+def solve_reduced_rank_lp(game: FiniteGame, flats, sys_cost) -> EquilibriumResult:
     """LP formulation of ``solve_reduced_rank``: minimize cost over the
-    simplex of weights on the profiles at ``flats``; must agree on the
-    objective."""
+    simplex of weights on the profiles at ``flats``, and the distribution
+    those weights induce; must agree on the objective."""
     if len(flats) == 0:
-        return RrSolution(LpStatus.INFEASIBLE)
+        return EquilibriumResult(LpStatus.INFEASIBLE)
     sys_cost = np.asarray(sys_cost, dtype=float)
     values = sys_cost[flats]
     program = LinearProgram.from_rows(objective=values, eq=[(np.ones(len(flats)), 1.0)])
@@ -236,7 +236,7 @@ def solve_reduced_rank_lp(game: FiniteGame, flats, sys_cost) -> RrSolution:
     mass = np.zeros(game.num_joint)
     mass[flats] = weights
     induced = JointDistribution(mass, game.action_counts)
-    return RrSolution(LpStatus.OPTIMAL, weights, induced, float(solution.objective_value))
+    return EquilibriumResult(LpStatus.OPTIMAL, induced, float(solution.objective_value))
 
 
 def lp_with_known_optimum(rng: np.random.Generator, num_vars: int, num_rows: int):
@@ -292,7 +292,7 @@ def dense_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
     pairwise[rec, alt] = sum_x z(rec, x) * J_i(alt, x), and
     gains[rec, alt] = pairwise[rec, rec] - pairwise[rec, alt]."""
     m = game.action_counts[agent]
-    zmat = np.moveaxis(z.grid, agent, 0).reshape(m, -1)
+    zmat = np.moveaxis(z.mass.reshape(game.action_counts), agent, 0).reshape(m, -1)
     jmat = np.moveaxis(game.costs[agent].reshape(game.action_counts), agent, 0).reshape(m, -1)
     pairwise = zmat @ jmat.T
     return np.diag(pairwise)[:, None] - pairwise, zmat.sum(axis=1)

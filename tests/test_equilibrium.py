@@ -330,17 +330,18 @@ def test_rr_intersection_game_tie_rule(intersection_game, intersection_sys_cost)
     rr = solve_reduced_rank(intersection_game, pne, intersection_sys_cost)
     assert rr.status == LpStatus.OPTIMAL
     assert rr.objective == pytest.approx(0.0, abs=1e-12)
-    assert np.array_equal(rr.weights, [1.0, 0.0])  # tie broken toward (G,S)
-    assert rr.induced.prob((0, 1)) == 1.0
+    assert list(pne) == [1, 2]  # (G,S) and (S,G)
+    assert list(rr.distribution.support) == [1]  # tie broken toward (G,S)
+    assert rr.distribution.mass[1] == 1.0
 
 
 def test_rr_singleton_and_argmin():
     game = FiniteGame((3,), np.array([[5.0, 2.0, 7.0]]))
     rr = solve_reduced_rank(game, np.array([1]), np.array([5.0, 2.0, 7.0]))
-    assert np.array_equal(rr.weights, [1.0])
+    assert list(rr.distribution.support) == [1]
     assert rr.objective == 2.0
     rr = solve_reduced_rank(game, np.array([0, 1, 2]), np.array([5.0, 2.0, 7.0]))
-    assert np.array_equal(rr.weights, [0.0, 1.0, 0.0])
+    assert list(rr.distribution.support) == [1]
     assert rr.objective == 2.0
 
 
@@ -517,7 +518,7 @@ def test_assemble_rows_consistent_with_check_margins():
         margins = eq_margins(game, mass, [sigma] * game.num_agents, alpha)
         kernel = incentive_gains(game, z)
         for row, (i, rec, alt) in zip(rows, canonical_ids(game), strict=True):
-            marginal = z.marginal(i, rec)
+            marginal = float(np.moveaxis(mass.reshape(game.action_counts), i, 0)[rec].sum())
             gains, marginals = kernel[i]
             assert marginals[rec] == pytest.approx(marginal, abs=1e-12)
             if marginal <= 0.0:

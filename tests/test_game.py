@@ -165,10 +165,11 @@ def test_distribution_validation():
 
 def test_point_mass_support_and_marginal():
     z = JointDistribution.point_mass((1, 0), (2, 2))
-    assert z.prob((1, 0)) == 1.0
+    assert z.mass[flat_index((1, 0), (2, 2))] == 1.0
     assert list(z.support) == [2]
-    assert z.marginal(0, 1) == 1.0
-    assert z.marginal(0, 0) == 0.0
+    grid = z.mass.reshape(z.action_counts)
+    assert grid[1].sum() == 1.0
+    assert grid[0].sum() == 0.0
 
 
 def test_game_validation():

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import cceq
-from cceq.equilibrium import sample_recommendation, solve_full_ccce
-from cceq.game import JointDistribution, flat_index
+from cceq.equilibrium import enumerate_cc_pne, sample_recommendation, solve_full_ccce
+from cceq.game import JointDistribution, flat_index, incentive_gains, unflatten
 from cceq.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -53,6 +53,34 @@ def test_simulate_deviation_argmax_tie_rule(intersection_game):
     z = JointDistribution.point_mass((0, 0), (2, 2))
     final, deviated = simulate_deviation(intersection_game, z, (0, 0), [0.0, 0.0])
     assert deviated and final == (1, 1)  # both agents best-respond simultaneously
+
+
+def test_point_mass_deviation_matches_the_gain_kernel():
+    # simulate_deviation reads a point mass's rows off the agents' lines; on
+    # airport games they must give the decision that incentive_gains' rows give
+    rng = np.random.default_rng(2024)
+    outcomes = []
+    for num_flights in range(6, 15):
+        for trial in range(5):
+            seed = np.random.SeedSequence((9, trial, num_flights))
+            instance = generate_instance(num_flights, 5, seed=seed)
+            game, _ = build_game(instance)
+            pne = enumerate_cc_pne(game, np.zeros(game.num_agents))
+            points = np.concatenate((rng.integers(game.num_joint, size=20), pne[:5]))
+            for flat in points.tolist():
+                rec = unflatten(flat, game.action_counts)
+                z = JointDistribution.at(flat, game.action_counts)
+                etas = rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0, 100.0])), game.num_agents)
+                final = list(rec)
+                for i, (gains, marginals) in enumerate(incentive_gains(game, z)):
+                    margins = gains[rec[i]] / marginals[rec[i]] + etas[i]
+                    margins[rec[i]] = -np.inf
+                    if margins.max() > 0.0:
+                        final[i] = int(np.argmax(margins))
+                expected = (tuple(final), tuple(final) != rec)
+                assert simulate_deviation(game, z, rec, etas) == expected, (num_flights, trial, rec)
+                outcomes.append(expected[1])
+    assert len(outcomes) >= 800 and 0 < sum(outcomes) < len(outcomes)
 
 
 def test_simulate_deviation_validates_etas(intersection_game, half_device):
@@ -338,6 +366,24 @@ def test_memory_error_becomes_solver_failure(tmp_path, monkeypatch):
     statuses = [(r.method, r.status) for r in result.records]
     assert statuses == [("full-ccce", "solver-failure")] * 2 + [("fcfs", "ok")] * 2
     assert len(list(csv.reader(out.open()))) == 1 + len(statuses)
+
+
+def test_memory_error_before_the_solve_becomes_solver_failure(tmp_path, monkeypatch):
+    # full-ccce prices every joint action before its solve, outside
+    # solve_seconds; running out of memory there fails the row, not the batch
+    from cceq.harness import lower_trial
+    from cceq.vq import SystemCost
+
+    def exhausted(self, dtype=None, copy=None):
+        raise MemoryError((2**24,), np.float64)
+
+    monkeypatch.setattr(SystemCost, "__array__", exhausted)
+    config = base_config(methods=("full-ccce", "rr-nominal"), out_path=str(tmp_path / "r.csv"))
+    record = run_trial(config, 0, "full-ccce", 6, lower_trial(config, 0, 6))
+    assert (record.status, record.solve_seconds, record.delay_cost) == ("solver-failure", 0.0, None)
+    result = run_experiment(config)
+    statuses = [(r.method, r.status) for r in result.records]
+    assert statuses == [("full-ccce", "solver-failure")] * 2 + [("rr-nominal", "ok")] * 2
 
 
 def test_run_experiment_csv_and_summary(tmp_path):
