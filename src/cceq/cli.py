@@ -110,7 +110,7 @@ def _cmd_run(args) -> int:
 def _load_distribution(path: Path, action_counts) -> JointDistribution:
     doc = json.loads(path.read_text())
     mass = doc["mass"] if isinstance(doc, dict) else doc
-    return JointDistribution(np.asarray(mass, dtype=float), action_counts)
+    return JointDistribution.from_mass(mass, action_counts)
 
 
 def _cmd_check(args) -> int:

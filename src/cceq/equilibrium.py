@@ -273,14 +273,16 @@ def solve_full_ccce(game: FiniteGame, q, sys_cost,
     nominal CE polytope. The returned distribution carries no mass below
     ``MASS_TOL`` and has passed :func:`check_ccce_feasibility`; one that
     fails it raises :class:`SolverFailureError`, as do other LP solver
-    failures. A program not expected to fit in memory raises MemoryError
-    before it is assembled. Infeasibility of the tightened polytope is
-    reported through the result status. ``deadline``, a
-    ``time.perf_counter()`` value, bounds the solve: it is checked once the
-    program is assembled, the time left becomes the solver's time limit, and
-    passing it raises ``TimeoutError``.
+    failures. A joint space above :data:`cceq.game.JOINT_SPACE_CAP` raises
+    :class:`BudgetExceededError`, and a program not expected to fit in
+    memory raises MemoryError, both before it is assembled. Infeasibility
+    of the tightened polytope is reported through the result status.
+    ``deadline``, a ``time.perf_counter()`` value, bounds the solve: it is
+    checked once the program is assembled, the time left becomes the
+    solver's time limit, and passing it raises ``TimeoutError``.
     """
     q = _tightenings(game, q)
+    check_joint_space(game.action_counts)
     solution = lpmod.solve(ccce_program(game, q, sys_cost), deadline=deadline)
     if solution.status == LpStatus.INFEASIBLE:
         return EquilibriumResult(LpStatus.INFEASIBLE)
@@ -291,8 +293,8 @@ def solve_full_ccce(game: FiniteGame, q, sys_cost,
     # tiny marginals would blow the normalized margins up
     z = solution.values[:game.num_joint]
     mass = np.where(z < MASS_TOL, 0.0, z)
-    mass /= mass.sum()
-    dist = JointDistribution(mass, game.action_counts)
+    support = np.flatnonzero(mass)
+    dist = JointDistribution(support, mass[support] / mass.sum(), game.action_counts)
     feasible, worst = check_ccce_feasibility(game, dist, q)
     if not feasible:
         raise SolverFailureError(
@@ -342,24 +344,24 @@ def enumerate_cc_pne(game: FiniteGame, q, limit: int | None = None) -> np.ndarra
     ascending flat indices into the joint action space.
 
     An empty array is a valid result. ``limit``, if given, must be
-    nonnegative and truncates to the first matches; a joint space larger than
-    :data:`cceq.game.JOINT_SPACE_CAP` raises :class:`BudgetExceededError`.
+    nonnegative and truncates to the first matches.
 
     Agent i passes at a profile by the test of :func:`is_cc_pne`, read from
     its lines: ``cost + q_i <= min over its other actions`` at its opponent
     key. An agent's candidates are the actions that pass at some key, and
-    only the product of the candidate sets is checked.
+    only the product of the candidate sets is checked; a product larger than
+    :data:`cceq.game.JOINT_SPACE_CAP` raises :class:`BudgetExceededError`.
     """
     q = _tightenings(game, q)
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit!r}")
-    check_joint_space(game.action_counts)
     passes = game.flat_lines + q[game.entry_agents] <= game.alternative_minima
     rows = np.flatnonzero(np.bincount(game.entry_rows, passes, sum(game.action_counts)))
     # candidate rows, agent by agent, and each agent's first one
     first = rows.searchsorted(game.offsets)
     bounds = [*first.tolist(), len(rows)]
     sizes = [end - start for start, end in zip(bounds, bounds[1:])]
+    check_joint_space(sizes)
     # the candidates' product, agent 0 most significant
     grid = rows[np.add(np.unravel_index(np.arange(math.prod(sizes)), sizes), first[:, None])]
     located = game.point_weights[:, grid].sum(axis=1)
@@ -381,7 +383,7 @@ def solve_reduced_rank(game: FiniteGame, flats: np.ndarray, sys_cost) -> Equilib
         return EquilibriumResult(LpStatus.INFEASIBLE)
     values = np.asarray(sys_cost[flats], dtype=float)
     best = int(np.argmin(values))  # first minimum: lowest-index tie rule
-    point = JointDistribution.at(int(flats[best]), game.action_counts)
+    point = JointDistribution(flats[best:best + 1], [1.0], game.action_counts)
     return EquilibriumResult(LpStatus.OPTIMAL, point, float(values[best]))
 
 
@@ -391,11 +393,8 @@ def sample_recommendation(z: JointDistribution, rng: np.random.Generator) -> tup
     Zero-mass joint actions are never returned; a fixed generator state gives
     a fixed draw.
     """
-    support = z.support
-    if support.size == 0:
-        raise ValueError("distribution has empty support")
-    cumulative = np.cumsum(z.mass[support])
+    cumulative = np.cumsum(z.weights)
     u = rng.random() * cumulative[-1]
     k = int(np.searchsorted(cumulative, u, side="right"))
-    k = min(k, support.size - 1)
-    return unflatten(int(support[k]), z.action_counts)
+    k = min(k, z.support.size - 1)
+    return unflatten(int(z.support[k]), z.action_counts)

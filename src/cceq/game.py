@@ -30,7 +30,6 @@ __all__ = [
     "game_from_dict",
     "game_to_dict",
     "incentive_gains",
-    "joint_space_size",
     "load_game",
     "save_game",
     "unflatten",
@@ -39,24 +38,22 @@ __all__ = [
 # Probability masses must sum to one within this tolerance; selection
 # results drop masses below it before they are certified.
 MASS_TOL = 1e-9
-# Largest joint action space that is lowered to a game or enumerated.
+# Most entries of a table that one step builds: the airport lowering's
+# (action row, runway state) table, the CC-PNE candidate product and the
+# full selection program's joint space.
 JOINT_SPACE_CAP = 2 ** 24
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an action space exceeds its configured size cap."""
+    """Raised when a table a step would build exceeds its size cap."""
 
 
-def joint_space_size(action_counts) -> int:
-    """Number of joint actions, the product of per-agent action counts."""
-    return math.prod(int(m) for m in action_counts)
-
-
-def check_joint_space(action_counts) -> None:
-    """Raise :class:`BudgetExceededError` if the joint space exceeds JOINT_SPACE_CAP."""
-    size = joint_space_size(action_counts)
+def check_joint_space(sizes) -> None:
+    """Raise :class:`BudgetExceededError` if a table of shape ``sizes``, the
+    product of their entries, would exceed JOINT_SPACE_CAP."""
+    size = math.prod(int(m) for m in sizes)
     if size > JOINT_SPACE_CAP:
-        raise BudgetExceededError(f"joint space of size {size} exceeds the cap of {JOINT_SPACE_CAP}")
+        raise BudgetExceededError(f"table of size {size} exceeds the cap of {JOINT_SPACE_CAP}")
 
 
 def flat_index(coords, action_counts) -> int:
@@ -77,7 +74,7 @@ def flat_index(coords, action_counts) -> int:
 def unflatten(flat, action_counts) -> tuple[int, ...]:
     """Inverse of :func:`flat_index`."""
     flat = int(flat)
-    size = joint_space_size(action_counts)
+    size = math.prod(int(m) for m in action_counts)
     if not 0 <= flat < size:
         raise ValueError(f"flat index {flat} out of range [0, {size})")
     coords = []
@@ -100,13 +97,14 @@ class FiniteGame:
     and keys each agent's lines by the others' mixed-radix index;
     :meth:`from_lines` takes lines directly. ``costs[i, k]``, agent i's cost
     at flat joint index k, is gathered from the lines on first access and
-    cached. Arrays are read-only.
+    cached. Arrays are read-only. Flat indices are int64: a joint space past
+    that raises :class:`BudgetExceededError`.
     """
 
-    def __init__(self, action_counts, costs, action_labels=None):
+    def __init__(self, action_counts, costs):
         counts = _action_counts(action_counts)
         costs = np.ascontiguousarray(costs, dtype=float)
-        expected = (len(counts), joint_space_size(counts))
+        expected = (len(counts), math.prod(counts))
         if costs.shape != expected:
             raise ValueError(f"costs shape {costs.shape}, expected {expected}")
         lines = [np.moveaxis(costs[i].reshape(counts), i, 0).reshape(m, -1)
@@ -120,20 +118,20 @@ class FiniteGame:
                     start = offsets[j]
                     key_weights[i, start:start + counts[j]] = stride * np.arange(counts[j])
                     stride *= counts[j]
-        self._setup(counts, lines, key_weights, action_labels)
+        self._setup(counts, lines, key_weights)
         costs.setflags(write=False)
         self.__dict__["costs"] = costs
 
     @classmethod
-    def from_lines(cls, action_counts, lines, key_weights, action_labels=None) -> "FiniteGame":
+    def from_lines(cls, action_counts, lines, key_weights) -> "FiniteGame":
         """A game from per-agent lines, ``lines[i]`` of shape (m_i, K_i), and
         integer key weights of shape (agents, sum_i m_i) that map every joint
         action to a key in [0, K_i) for each agent i."""
         game = cls.__new__(cls)
-        game._setup(_action_counts(action_counts), lines, key_weights, action_labels)
+        game._setup(_action_counts(action_counts), lines, key_weights)
         return game
 
-    def _setup(self, counts, lines, key_weights, action_labels):
+    def _setup(self, counts, lines, key_weights):
         n = len(counts)
         lines = [np.asarray(line, dtype=float) for line in lines]
         if len(lines) != n or any(line.ndim != 2 or len(line) != m
@@ -141,6 +139,8 @@ class FiniteGame:
             raise ValueError("need one (own actions, keys) line table per agent")
         self.action_counts = counts
         self.num_joint = math.prod(counts)
+        if self.num_joint > 1 << 63:
+            raise BudgetExceededError(f"{self.num_joint} joint actions: flat indices past int64")
         self.offsets = np.array([0, *itertools.accumulate(counts[:-1])])
         # of the flat joint index, agent 0 most significant
         self.strides = np.array([*itertools.accumulate(counts[:0:-1], operator.mul,
@@ -180,13 +180,6 @@ class FiniteGame:
         self.entry_agents = slot_agents[self.entry_slots]
         self.entry_rows = np.arange(len(self.flat_lines)) - (
             self.key_starts - self.offsets[slot_agents])[self.entry_slots]
-        if action_labels is not None:
-            action_labels = tuple(tuple(str(s) for s in own) for own in action_labels)
-            if len(action_labels) != n or any(
-                len(own) != m for own, m in zip(action_labels, counts)
-            ):
-                raise ValueError("action_labels must match action_counts")
-        self.action_labels = action_labels
 
     @property
     def num_agents(self) -> int:
@@ -249,53 +242,58 @@ def _action_counts(action_counts) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Probability mass over joint actions, stored densely by flat index."""
+    """Probability mass over joint actions, held by its support: ascending
+    int64 flat indices and their positive weights, which sum to one within
+    MASS_TOL. Checked in O(|support|); the dense ``mass`` is built only when
+    read."""
 
-    mass: np.ndarray
+    support: np.ndarray
+    weights: np.ndarray
     action_counts: tuple[int, ...]
 
     def __post_init__(self):
         counts = tuple(int(m) for m in self.action_counts)
+        support = np.ascontiguousarray(self.support, dtype=np.int64)
+        weights = np.ascontiguousarray(self.weights, dtype=float)
+        if support.ndim != 1 or weights.shape != support.shape:
+            raise ValueError("support and weights must be vectors of one length")
+        if (support[1:] <= support[:-1]).any():
+            raise ValueError("support must be strictly ascending")
+        if support.size and not 0 <= int(support[0]) <= int(support[-1]) < math.prod(counts):
+            raise ValueError(f"support outside the joint space of size {math.prod(counts)}")
+        if not (weights.size and weights.min() > 0.0):  # NaN fails too
+            raise ValueError("a distribution needs positive weights")
+        total = float(weights.sum())
+        if not abs(total - 1.0) <= MASS_TOL:  # inf and NaN fail too
+            raise ValueError(f"weights sum to {total!r}, expected 1 within {MASS_TOL}")
+        support.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "action_counts", counts)
-        mass = np.ascontiguousarray(self.mass, dtype=float)
-        if mass.shape != (joint_space_size(counts),):
-            raise ValueError(
-                f"mass has length {mass.shape}, joint space is {joint_space_size(counts)}"
-            )
-        if not np.isfinite(mass).all():
-            raise ValueError("probability masses must be finite")
-        if mass.size and float(mass.min()) < 0.0:
-            raise ValueError("probability masses must be nonnegative")
-        total = float(mass.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"masses sum to {total!r}, expected 1 within {MASS_TOL}")
-        mass.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
+
+    @classmethod
+    def from_mass(cls, mass, action_counts) -> "JointDistribution":
+        """The distribution with the dense masses ``mass``, one per flat joint index."""
+        mass = np.asarray(mass, dtype=float)
+        size = math.prod(int(m) for m in action_counts)
+        if mass.shape != (size,):
+            raise ValueError(f"mass has shape {mass.shape}, joint space is {size}")
+        support = np.flatnonzero(mass)
+        return cls(support, mass[support], action_counts)
 
     @classmethod
     def point_mass(cls, coords, action_counts) -> "JointDistribution":
         """Distribution concentrated on a single joint action."""
-        counts = tuple(int(m) for m in action_counts)
-        return cls.at(flat_index(coords, counts), counts)
-
-    @classmethod
-    def at(cls, flat: int, action_counts: tuple[int, ...]) -> "JointDistribution":
-        """The point mass at flat joint index ``flat``, which must be in range
-        of ``action_counts``, a tuple of ints. It is valid by construction and
-        its support is known, so neither is computed from the mass vector."""
-        mass = np.zeros(math.prod(action_counts))
-        mass[flat] = 1.0
-        mass.setflags(write=False)
-        z = cls.__new__(cls)
-        object.__setattr__(z, "mass", mass)
-        object.__setattr__(z, "action_counts", action_counts)
-        z.__dict__["support"] = np.array([flat])
-        return z
+        return cls([flat_index(coords, action_counts)], [1.0], action_counts)
 
     @cached_property
-    def support(self) -> np.ndarray:
-        """Flat indices carrying strictly positive mass, ascending (computed once)."""
-        return np.nonzero(self.mass > 0.0)[0]
+    def mass(self) -> np.ndarray:
+        """Dense masses by flat index, one per joint action (built once)."""
+        mass = np.zeros(math.prod(self.action_counts))
+        mass[self.support] = self.weights
+        mass.setflags(write=False)
+        return mass
 
 
 def incentive_gains(game: FiniteGame, z: JointDistribution):
@@ -314,9 +312,8 @@ def incentive_gains(game: FiniteGame, z: JointDistribution):
     """
     if z.action_counts != game.action_counts:
         raise ValueError("distribution does not match the game's action space")
-    support = z.support
-    weight = z.mass[support]
-    coords = game.coordinates(support)
+    weight = z.weights
+    coords = game.coordinates(z.support)
     entries = game.line_entries(coords)
     out = []
     for i, m in enumerate(game.action_counts):
@@ -334,31 +331,23 @@ def incentive_gains(game: FiniteGame, z: JointDistribution):
 # Schema (used by the CLI's --game-file option):
 #   {"agents": n,
 #    "action_counts": [m_0, ..., m_{n-1}],
-#    "costs": [[...one value per flat joint index...]  per agent],
-#    "labels": [[...m_i strings...] per agent]}        # optional
+#    "costs": [[...one value per flat joint index...]  per agent]}
+# Other keys are ignored.
 
 
 def game_to_dict(game: FiniteGame) -> dict:
-    doc = {
+    return {
         "agents": game.num_agents,
         "action_counts": list(game.action_counts),
         "costs": [list(map(float, row)) for row in game.costs],
     }
-    if game.action_labels is not None:
-        doc["labels"] = [list(own) for own in game.action_labels]
-    return doc
 
 
 def game_from_dict(doc: dict) -> FiniteGame:
     counts = tuple(int(m) for m in doc["action_counts"])
     if int(doc["agents"]) != len(counts):
         raise ValueError("'agents' disagrees with the length of 'action_counts'")
-    labels = doc.get("labels")
-    return FiniteGame(
-        action_counts=counts,
-        costs=np.asarray(doc["costs"], dtype=float),
-        action_labels=tuple(tuple(own) for own in labels) if labels else None,
-    )
+    return FiniteGame(counts, np.asarray(doc["costs"], dtype=float))
 
 
 def save_game(game: FiniteGame, path) -> None:

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .equilibrium import (
+    FEASIBILITY_TOL,
     EquilibriumResult,
     enumerate_cc_pne,
     sample_recommendation,
@@ -39,6 +40,7 @@ from .game import (
     BudgetExceededError,
     FiniteGame,
     JointDistribution,
+    check_joint_space,
     flat_index,
     incentive_gains,
     unflatten,
@@ -242,8 +244,9 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
     agent's comparisons (the harness draws them from per-agent substreams).
     Each agent computes, for every alternative, the conditional expected
     deviation gain given its recommended action plus its eta. If the best
-    margin is positive the agent best-responds to it (ties to the lowest
-    action index), otherwise it follows the recommendation. Agents decide
+    margin exceeds ``FEASIBILITY_TOL``, the tolerance selection results are
+    certified to, the agent best-responds to it (ties to the lowest action
+    index), otherwise it follows the recommendation. Agents decide
     simultaneously against z, not against each other's realized switches.
     The recommendation must be in the support of z.
 
@@ -255,7 +258,7 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
         raise ValueError(f"expected {game.num_agents} etas, got {len(etas)}")
 
     if z.support.size == 1:  # a point mass: each agent's row is its line through rec
-        weight = z.mass[z.support[0]]
+        weight = z.weights[0]
         rows = []
         for i, (m, entry) in enumerate(zip(game.action_counts, game.line_entries(rec).tolist())):
             costs = game.flat_lines[entry - rec[i]:entry - rec[i] + m]
@@ -270,7 +273,7 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
         margins = row + etas[i]
         margins[rec[i]] = -np.inf
         best = int(np.argmax(margins))  # first maximum: lowest-index tie rule
-        if margins[best] > 0.0:
+        if margins[best] > FEASIBILITY_TOL:
             final[i] = best
     final_action = tuple(final)
     return final_action, final_action != rec
@@ -302,8 +305,8 @@ class LoweredTrial(NamedTuple):
     """One trial's instance and game, shared by every method run on it.
 
     ``q`` holds each agent's tightening and ``etas`` its perturbation draw.
-    ``game``, ``sys_cost`` and ``q`` are None when the joint action space
-    exceeds the cap of ``build_game``; ``etas`` then is empty.
+    ``game``, ``sys_cost`` and ``q`` are None when ``build_game`` refuses
+    the instance as too large; ``etas`` then is empty.
     """
 
     instance: VQInstance
@@ -364,11 +367,13 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     if lowered_ok and method == METHOD_FULL_CCCE:
         # loading the solver module once (~10 ms) and pricing every joint
         # action for the LP's objective are lowering, kept outside
-        # solve_seconds; running out of memory here fails the row
+        # solve_seconds; a joint space above the cap, or running out of
+        # memory here, fails the row
         try:
+            check_joint_space(game.action_counts)
             load_highs()
             np.asarray(sys_cost)
-        except MemoryError:
+        except (BudgetExceededError, MemoryError):
             lowered_ok = False
     if not lowered_ok:
         return TrialRecord(

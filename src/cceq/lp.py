@@ -93,28 +93,6 @@ class LinearProgram:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_rows(cls, objective, ineq=(), eq=(), lower_bounds=None) -> "LinearProgram":
-        """Build from dense ``(row, rhs)`` pairs: ``row @ v <= rhs`` for
-        ``ineq``, ``row @ v == rhs`` for ``eq``; lower bounds default to zero."""
-        c = np.asarray(objective, dtype=float).reshape(-1)
-        n = c.size
-        ineq = list(ineq)
-        pairs = ineq + list(eq)
-        rows = np.zeros((len(pairs), n))
-        for k, (row, _) in enumerate(pairs):
-            row = np.asarray(row, dtype=float).reshape(-1)
-            if row.size != n:
-                raise ValueError(f"constraint row of length {row.size}, expected {n}")
-            rows[k] = row
-        rhs = np.array([float(b) for _, b in pairs])
-        lo = np.where(np.arange(len(pairs)) < len(ineq), -np.inf, rhs)
-        columns = rows.T
-        _, index = np.nonzero(columns)  # column-major: by column, then row
-        start = np.concatenate([[0], np.cumsum(np.count_nonzero(columns, axis=1))])
-        lb = np.zeros(n) if lower_bounds is None else lower_bounds
-        return cls(c, start, index, columns[columns != 0.0], lo, rhs, lb)
-
     @property
     def num_vars(self) -> int:
         return self.objective.size
@@ -162,13 +140,12 @@ def load_highs():
     return module
 
 
-def solve(lp: LinearProgram, max_iterations: int | None = None,
-          deadline: float | None = None) -> LpSolution:
+def solve(lp: LinearProgram, deadline: float | None = None) -> LpSolution:
     """Solve a linear program.
 
     Infeasibility and unboundedness are reported through the solution status,
-    never raised. Reaching ``max_iterations`` simplex iterations, or any
-    other stop without a verdict, raises :class:`SolverFailureError`.
+    never raised. Any other stop without a verdict raises
+    :class:`SolverFailureError`.
     ``deadline``, a ``time.perf_counter()`` value, bounds the call: the time
     left when the model is loaded becomes the solver's time limit, and
     passing it raises ``TimeoutError``.
@@ -178,8 +155,6 @@ def solve(lp: LinearProgram, max_iterations: int | None = None,
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
-    if max_iterations is not None:
-        highs.setOptionValue("simplex_iteration_limit", int(max_iterations))
     # an (n + 1)-entry start needs an explicit all-continuous integrality
     # array: with an empty one the array overload rejects the model
     status = highs.passModel(

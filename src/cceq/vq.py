@@ -229,8 +229,9 @@ def build_game(instance: VQInstance):
 
     Returns ``(game, sys_cost)``: agent i's cost is its class-weighted fleet
     delay, and ``sys_cost``, a :class:`SystemCost`, is the unweighted total
-    by flat joint index. A joint space above ``JOINT_SPACE_CAP`` raises
-    :class:`BudgetExceededError`.
+    by flat joint index. An (action row, runway state) table above
+    ``JOINT_SPACE_CAP`` entries, or a joint space whose flat indices do not
+    fit int64, raises :class:`BudgetExceededError`.
 
     A flight's cost depends on the other airlines only through the runway
     state, the number of flights released on each runway. So each flight is
@@ -244,7 +245,6 @@ def build_game(instance: VQInstance):
     dense tables and the system cost are bit-identical to that.
     """
     counts = instance.action_counts
-    check_joint_space(counts)
     flights = instance.flights
     epoch = instance.epoch_minutes
     runway = np.array([f.runway for f in flights], dtype=np.intp)
@@ -269,6 +269,7 @@ def build_game(instance: VQInstance):
 
     # rows offsets[i] + a stand for airline i's action a, all airlines in turn
     n, num_rows = len(counts), sum(counts)
+    check_joint_space((num_rows, num_states))
     first_rows = [0, *itertools.accumulate(counts[:-1])]
     owned = [instance.owner_of[f.id] for f in flights]  # (airline, bit), ascending id
 

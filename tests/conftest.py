@@ -24,4 +24,4 @@ def intersection_sys_cost() -> np.ndarray:
 @pytest.fixture
 def half_device() -> JointDistribution:
     """The 1/2-1/2 correlation device over (G,S) and (S,G)."""
-    return JointDistribution(np.array([0.0, 0.5, 0.5, 0.0]), (2, 2))
+    return JointDistribution.from_mass(np.array([0.0, 0.5, 0.5, 0.0]), (2, 2))

@@ -3,14 +3,15 @@
 Everything here is written from the underlying math, separately from the
 package implementation: an erf-series normal CDF with bisection inversion, a
 loop-based chance-constrained CE feasibility checker (quantiles via scipy), a
-brute-force LP vertex enumerator, constructors for LPs with known optima, a
-dense view of the package's column-wise LPs, the selection program written
-over the joint actions alone (the reference for the package's key-marginal
-form) and the substitution that projects the latter onto z, the incentive gains as one
-dense matrix product over the joint space, CC-PNE by comparing every
-alternative on the dense cost tables, the LP form of the
-reduced-rank program, and the airport scenario's cost model evaluated one
-joint action and one flight at a time (the reference for ``build_game``).
+brute-force LP vertex enumerator, LPs built from dense rows, constructors
+for LPs with known optima, a dense view of the package's column-wise LPs,
+the selection program written over the joint actions alone (the reference
+for the package's key-marginal form) and the substitution that projects the
+latter onto z, the incentive gains as one dense matrix product over the
+joint space, CC-PNE by comparing every alternative on the dense cost
+tables, the LP form of the reduced-rank program, and the airport scenario's
+cost model evaluated one joint action and one flight at a time (the
+reference for ``build_game``).
 ``build_game``'s earlier lowering on the whole action grid, flight by
 flight, is kept as its bit-exact reference.
 """
@@ -228,15 +229,37 @@ def solve_reduced_rank_lp(game: FiniteGame, flats, sys_cost) -> EquilibriumResul
         return EquilibriumResult(LpStatus.INFEASIBLE)
     sys_cost = np.asarray(sys_cost, dtype=float)
     values = sys_cost[flats]
-    program = LinearProgram.from_rows(objective=values, eq=[(np.ones(len(flats)), 1.0)])
+    program = lp_from_rows(objective=values, eq=[(np.ones(len(flats)), 1.0)])
     solution = lpmod.solve(program)
     assert solution.status == LpStatus.OPTIMAL, "the weight simplex is never empty"
     weights = np.maximum(solution.values, 0.0)
     weights /= weights.sum()
     mass = np.zeros(game.num_joint)
     mass[flats] = weights
-    induced = JointDistribution(mass, game.action_counts)
+    induced = JointDistribution.from_mass(mass, game.action_counts)
     return EquilibriumResult(LpStatus.OPTIMAL, induced, float(solution.objective_value))
+
+
+def lp_from_rows(objective, ineq=(), eq=(), lower_bounds=None) -> LinearProgram:
+    """A program from dense ``(row, rhs)`` pairs: ``row @ v <= rhs`` for
+    ``ineq``, ``row @ v == rhs`` for ``eq``; lower bounds default to zero."""
+    c = np.asarray(objective, dtype=float).reshape(-1)
+    n = c.size
+    ineq = list(ineq)
+    pairs = ineq + list(eq)
+    rows = np.zeros((len(pairs), n))
+    for k, (row, _) in enumerate(pairs):
+        row = np.asarray(row, dtype=float).reshape(-1)
+        if row.size != n:
+            raise ValueError(f"constraint row of length {row.size}, expected {n}")
+        rows[k] = row
+    rhs = np.array([float(b) for _, b in pairs])
+    lo = np.where(np.arange(len(pairs)) < len(ineq), -np.inf, rhs)
+    columns = rows.T
+    _, index = np.nonzero(columns)  # column-major: by column, then row
+    start = np.concatenate([[0], np.cumsum(np.count_nonzero(columns, axis=1))])
+    lb = np.zeros(n) if lower_bounds is None else lower_bounds
+    return LinearProgram(c, start, index, columns[columns != 0.0], lo, rhs, lb)
 
 
 def lp_with_known_optimum(rng: np.random.Generator, num_vars: int, num_rows: int):
@@ -257,7 +280,7 @@ def lp_with_known_optimum(rng: np.random.Generator, num_vars: int, num_rows: int
         rhs.append(float(a @ v_star) + slack)
     weights = rng.uniform(0.1, 2.0, num_active)
     c = -(weights[:, None] * np.vstack(rows[:num_active])).sum(axis=0)
-    lp = LinearProgram.from_rows(c, ineq=list(zip(rows, rhs)))
+    lp = lp_from_rows(c, ineq=list(zip(rows, rhs)))
     return lp, float(c @ v_star)
 
 

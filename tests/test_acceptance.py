@@ -33,7 +33,7 @@ from conftest import INTERSECTION_COSTS
 from oracles import eq_feasible, grid_distributions, profiles, random_game
 
 INTERSECTION_GAME = FiniteGame((2, 2), INTERSECTION_COSTS)
-HALF_DEVICE = JointDistribution(np.array([0.0, 0.5, 0.5, 0.0]), (2, 2))
+HALF_DEVICE = JointDistribution.from_mass(np.array([0.0, 0.5, 0.5, 0.0]), (2, 2))
 SYS1 = INTERSECTION_COSTS.sum(axis=0)
 
 
@@ -78,7 +78,7 @@ def test_criterion_02_equilibrium_containment_property_suite():
                     lam = rng.dirichlet(np.ones(len(flats)))
                     mass = np.zeros(game.num_joint)
                     mass[flats] = lam
-                    z = JointDistribution(mass, game.action_counts)
+                    z = JointDistribution.from_mass(mass, game.action_counts)
                     _, worst = check_ccce_feasibility(game, z, q)
                     assert worst <= 1e-7, f"CC-PNE hull point violates CC-CE: margin {worst}"
                     hull_checks += 1
@@ -237,7 +237,7 @@ def test_criterion_10_oracle_equivalence():
         sigma, alpha = combos[g % len(combos)]
         q = tightenings(sigma, alpha, 2)
         for mass in grid:
-            z = JointDistribution(mass, (2, 2))
+            z = JointDistribution.from_mass(mass, (2, 2))
             _, worst = check_ccce_feasibility(game, z, q)
             ours = worst <= 1e-7
             oracle = eq_feasible(game, mass, [sigma, sigma], alpha, tol=1e-7)

@@ -162,7 +162,7 @@ def test_check_point_mass_stop_stop(intersection_game):
 def test_check_sigma_zero_matches_nominal_any_alpha(intersection_game):
     rng = np.random.default_rng(3)
     for _ in range(20):
-        z = JointDistribution(rng.dirichlet(np.ones(4)), (2, 2))
+        z = JointDistribution.from_mass(rng.dirichlet(np.ones(4)), (2, 2))
         base = check_ccce_feasibility(intersection_game, z, Q0)
         for alpha in (0.05, 0.5, 0.999):
             q = tightenings(0.0, alpha, 2)
@@ -395,7 +395,7 @@ def test_ccpne_convex_hull_within_ccce_set():
             lam = rng.dirichlet(np.ones(len(flats)))
             mass = np.zeros(game.num_joint)
             mass[flats] = lam
-            z = JointDistribution(mass, game.action_counts)
+            z = JointDistribution.from_mass(mass, game.action_counts)
             ok, worst = check_ccce_feasibility(game, z, q)
             assert ok, f"hull point violates CC-CE: worst {worst}"
 
@@ -413,7 +413,8 @@ def test_alpha_monotonicity_of_check():
     rng = np.random.default_rng(556)
     for _ in range(40):
         game = random_game(rng)
-        z = JointDistribution(rng.dirichlet(np.ones(game.num_joint)), game.action_counts)
+        z = JointDistribution.from_mass(rng.dirichlet(np.ones(game.num_joint)),
+                                        game.action_counts)
         if check_ccce_feasibility(game, z, tightenings(1.0, 0.9, game.num_agents))[0]:
             assert check_ccce_feasibility(game, z, tightenings(1.0, 0.5, game.num_agents))[0]
 
@@ -463,7 +464,7 @@ def test_check_agrees_with_independent_oracle():
         q = tightenings(sigma, alpha, 2)
         for _ in range(40):
             mass = rng.dirichlet(np.ones(4) * rng.uniform(0.3, 3.0))
-            z = JointDistribution(mass, counts)
+            z = JointDistribution.from_mass(mass, counts)
             ours, worst = check_ccce_feasibility(game, z, q)
             oracle = eq_feasible(game, mass, [sigma, sigma], alpha)
             assert ours == oracle
@@ -514,7 +515,7 @@ def test_assemble_rows_consistent_with_check_margins():
         quantiles = tightenings(sigma, alpha, game.num_agents)
         rows = incentive_rows(game, quantiles)
         mass = rng.dirichlet(np.ones(game.num_joint))
-        z = JointDistribution(mass, game.action_counts)
+        z = JointDistribution.from_mass(mass, game.action_counts)
         margins = eq_margins(game, mass, [sigma] * game.num_agents, alpha)
         kernel = incentive_gains(game, z)
         for row, (i, rec, alt) in zip(rows, canonical_ids(game), strict=True):

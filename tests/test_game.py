@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cceq.game import (
+    BudgetExceededError,
     FiniteGame,
     JointDistribution,
     flat_index,
@@ -69,11 +70,11 @@ def test_incentive_gains_diagonal_and_validation(intersection_game):
     rng = np.random.default_rng(5)
     for _ in range(20):
         game = FiniteGame((2, 3, 2), rng.normal(size=(3, 12)))
-        z = JointDistribution(rng.dirichlet(np.ones(12)), (2, 3, 2))
+        z = JointDistribution.from_mass(rng.dirichlet(np.ones(12)), (2, 3, 2))
         for gains, _ in incentive_gains(game, z):
             assert np.all(np.diag(gains) == 0.0)
     with pytest.raises(ValueError):
-        incentive_gains(intersection_game, JointDistribution(np.ones(3) / 3, (3,)))
+        incentive_gains(intersection_game, JointDistribution.from_mass(np.ones(3) / 3, (3,)))
 
 
 def test_incentive_gains_matches_dense_oracle():
@@ -96,7 +97,7 @@ def test_incentive_gains_matches_dense_oracle():
                                  replace=False)
             mass = np.zeros(game.num_joint)
             mass[support] = rng.dirichlet(np.ones(support.size))
-            z = JointDistribution(mass, counts)
+            z = JointDistribution.from_mass(mass, counts)
             for agent, (gains, marginals) in enumerate(incentive_gains(game, z)):
                 want = dense_incentive_gains(game, z, agent)
                 assert np.allclose(gains, want[0], rtol=1e-12, atol=1e-12)
@@ -128,7 +129,8 @@ def test_conditional_expected_deviation_intersection_game(intersection_game, hal
 
 
 def test_conditional_zero_marginal_is_vacuous(intersection_game):
-    z = JointDistribution(np.array([0.0, 0.0, 0.5, 0.5]), (2, 2))  # never recommends G to agent 0
+    # never recommends G to agent 0
+    z = JointDistribution.from_mass(np.array([0.0, 0.0, 0.5, 0.5]), (2, 2))
     gains, marginals = incentive_gains(intersection_game, z)[0]
     assert marginals[0] == 0.0
     assert np.array_equal(gains[0], [0.0, 0.0])
@@ -140,9 +142,9 @@ def test_unnormalized_is_linear_in_z(intersection_game):
         m1 = rng.dirichlet(np.ones(4))
         m2 = rng.dirichlet(np.ones(4))
         lam = float(rng.uniform())
-        z1 = JointDistribution(m1, (2, 2))
-        z2 = JointDistribution(m2, (2, 2))
-        mix = JointDistribution(lam * m1 + (1 - lam) * m2, (2, 2))
+        z1 = JointDistribution.from_mass(m1, (2, 2))
+        z2 = JointDistribution.from_mass(m2, (2, 2))
+        mix = JointDistribution.from_mass(lam * m1 + (1 - lam) * m2, (2, 2))
         for agent in (0, 1):
             blended = lam * incentive_gains(intersection_game, z1)[agent][0] \
                 + (1 - lam) * incentive_gains(intersection_game, z2)[agent][0]
@@ -152,24 +154,76 @@ def test_unnormalized_is_linear_in_z(intersection_game):
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        JointDistribution(np.array([0.5, 0.6]), (2,))
+        JointDistribution.from_mass(np.array([0.5, 0.6]), (2,))
     with pytest.raises(ValueError):
-        JointDistribution(np.array([-0.1, 1.1]), (2,))
+        JointDistribution.from_mass(np.array([-0.1, 1.1]), (2,))
     with pytest.raises(ValueError):
-        JointDistribution(np.array([0.5, 0.5, 0.0]), (2,))
+        JointDistribution.from_mass(np.array([0.5, 0.5, 0.0]), (2,))
     # a NaN total would pass the sum-to-one test, since NaN compares false
     for bad in ([np.nan, 0.5, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0], [0.5, 0.5, -np.inf, np.inf]):
-        with pytest.raises(ValueError, match="finite"):
-            JointDistribution(np.array(bad), (2, 2))
+        with pytest.raises(ValueError):
+            JointDistribution.from_mass(np.array(bad), (2, 2))
+
+
+@pytest.mark.parametrize("support, weights, match", [
+    ([2, 1], [0.5, 0.5], "ascending"),              # unsorted
+    ([1, 1], [0.5, 0.5], "ascending"),              # a duplicate index
+    ([1, 4], [0.5, 0.5], "outside"),                # past the joint space
+    ([-1, 1], [0.5, 0.5], "outside"),               # negative index
+    ([0, 1, 2], [0.5, 0.5, 0.0], "positive"),       # a zero weight
+    ([0, 1, 2], [0.75, 0.5, -0.25], "positive"),    # a negative weight
+    ([0, 1], [np.nan, 1.0], "positive"),
+    ([0, 1], [np.inf, -np.inf], "positive"),
+    ([0, 1], [np.inf, 1.0], "sum"),
+    ([0, 1], [0.5, 0.5 + 1e-8], "sum"),             # off by more than MASS_TOL
+    ([], [], "positive"),                           # no support at all
+    ([0, 1], [1.0], "length"),
+])
+def test_support_form_validation(support, weights, match):
+    with pytest.raises(ValueError, match=match):
+        JointDistribution(support, weights, (2, 2))
+
+
+def test_support_form_round_trips_through_the_dense_mass():
+    rng = np.random.default_rng(5)
+    for counts in [(2, 2), (3, 1, 4), (5,)]:
+        size = int(np.prod(counts))
+        for _ in range(20):
+            mass = rng.dirichlet(np.ones(size)) * (rng.random(size) < 0.6)
+            if not mass.any():
+                continue
+            z = JointDistribution.from_mass(mass / mass.sum(), counts)
+            again = JointDistribution.from_mass(z.mass, counts)
+            assert again.support.dtype == np.int64
+            assert again.support.tobytes() == z.support.tobytes()
+            assert again.weights.tobytes() == z.weights.tobytes()
+            assert again.action_counts == z.action_counts
+            assert np.array_equal(z.support, np.flatnonzero(mass))
+    assert z.mass is z.mass and not z.mass.flags.writeable
 
 
 def test_point_mass_support_and_marginal():
     z = JointDistribution.point_mass((1, 0), (2, 2))
+    assert list(z.support) == [2] and list(z.weights) == [1.0]
+    assert "mass" not in vars(z)  # the dense view is built on first read
     assert z.mass[flat_index((1, 0), (2, 2))] == 1.0
-    assert list(z.support) == [2]
     grid = z.mass.reshape(z.action_counts)
     assert grid[1].sum() == 1.0
     assert grid[0].sum() == 0.0
+
+
+def test_point_mass_on_a_joint_space_at_the_int64_limit():
+    # 63 two-action agents whose costs ignore the others: 2^63 joint
+    # actions, the most whose flat indices fit int64; one agent more is refused
+    lines = [np.array([[1.0], [0.0]])] * 63
+    game = FiniteGame.from_lines((2,) * 63, lines, np.zeros((63, 126), dtype=np.intp))
+    assert game.num_joint == 2 ** 63
+    last = JointDistribution.point_mass((1,) * 63, game.action_counts)
+    assert last.support.tolist() == [2 ** 63 - 1]
+    gains = incentive_gains(game, last)
+    assert all(g[1].tolist() == [-1.0, 0.0] and m.tolist() == [0.0, 1.0] for g, m in gains)
+    with pytest.raises(BudgetExceededError, match="int64"):
+        FiniteGame.from_lines((2,) * 64, lines + lines[:1], np.zeros((64, 128), dtype=np.intp))
 
 
 def test_game_validation():
@@ -179,8 +233,6 @@ def test_game_validation():
         FiniteGame((2, 2), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         FiniteGame((2, 2), np.full((2, 4), np.nan))
-    with pytest.raises(ValueError):
-        FiniteGame((2, 2), np.zeros((2, 4)), action_labels=(("a",), ("b", "c")))
 
 
 def test_game_costs_are_immutable(intersection_game):
@@ -189,14 +241,18 @@ def test_game_costs_are_immutable(intersection_game):
 
 
 def test_game_json_roundtrip(tmp_path, intersection_game):
-    labelled = FiniteGame((2, 2), intersection_game.costs,
-                          action_labels=(("G", "S"), ("G", "S")))
     path = tmp_path / "game.json"
-    save_game(labelled, path)
+    save_game(intersection_game, path)
     loaded = load_game(path)
-    assert loaded.action_counts == labelled.action_counts
-    assert np.array_equal(loaded.costs, labelled.costs)
-    assert loaded.action_labels == labelled.action_labels
+    assert loaded.action_counts == intersection_game.action_counts
+    assert np.array_equal(loaded.costs, intersection_game.costs)
+
+
+def test_game_json_ignores_extra_keys(intersection_game):
+    # files written with the former optional action labels still load
+    doc = {**game_to_dict(intersection_game), "labels": [["G", "S"], ["G", "S"]]}
+    assert np.array_equal(game_from_dict(doc).costs, intersection_game.costs)
+    assert set(game_to_dict(intersection_game)) == {"agents", "action_counts", "costs"}
 
 
 def test_game_dict_schema(intersection_game):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,12 @@ import numpy as np
 import pytest
 
 import cceq
-from cceq.equilibrium import enumerate_cc_pne, sample_recommendation, solve_full_ccce
+from cceq.equilibrium import (
+    FEASIBILITY_TOL,
+    enumerate_cc_pne,
+    sample_recommendation,
+    solve_full_ccce,
+)
 from cceq.game import JointDistribution, flat_index, incentive_gains, unflatten
 from cceq.harness import (
     CSV_COLUMNS,
@@ -19,6 +25,7 @@ from cceq.harness import (
     STATUS_OK,
     TrialRecord,
     format_summary,
+    lower_trial,
     run_experiment,
     run_trial,
     simulate_deviation,
@@ -27,6 +34,7 @@ from cceq.harness import (
 )
 from cceq.uncertainty import substream
 from cceq.vq import build_game, generate_instance
+from oracles import random_game
 
 
 def test_simulate_deviation_forced_eta(intersection_game, half_device):
@@ -69,13 +77,13 @@ def test_point_mass_deviation_matches_the_gain_kernel():
             points = np.concatenate((rng.integers(game.num_joint, size=20), pne[:5]))
             for flat in points.tolist():
                 rec = unflatten(flat, game.action_counts)
-                z = JointDistribution.at(flat, game.action_counts)
+                z = JointDistribution([flat], [1.0], game.action_counts)
                 etas = rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0, 100.0])), game.num_agents)
                 final = list(rec)
                 for i, (gains, marginals) in enumerate(incentive_gains(game, z)):
                     margins = gains[rec[i]] / marginals[rec[i]] + etas[i]
                     margins[rec[i]] = -np.inf
-                    if margins.max() > 0.0:
+                    if margins.max() > FEASIBILITY_TOL:
                         final[i] = int(np.argmax(margins))
                 expected = (tuple(final), tuple(final) != rec)
                 assert simulate_deviation(game, z, rec, etas) == expected, (num_flights, trial, rec)
@@ -198,7 +206,8 @@ def test_load_highs_loads_only_the_extension_module():
         "print(time.perf_counter() - start)\n"
         "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
         "       if m in sys.modules] == [])\n"
-        "sol = solve(LinearProgram.from_rows([1.0, 2.0], ineq=[([-1.0, -1.0], -1.0)]))\n"
+        "sol = solve(LinearProgram([1.0, 2.0], [0, 1, 2], [0, 0], [-1.0, -1.0],\n"
+        "                          [-float('inf')], [-1.0], [0.0, 0.0]))\n"
         "print(sol.status.value, sol.objective_value)\n"
         "from scipy.optimize import linprog\n"
         "from scipy.optimize._highspy import _core\n"
@@ -371,7 +380,6 @@ def test_memory_error_becomes_solver_failure(tmp_path, monkeypatch):
 def test_memory_error_before_the_solve_becomes_solver_failure(tmp_path, monkeypatch):
     # full-ccce prices every joint action before its solve, outside
     # solve_seconds; running out of memory there fails the row, not the batch
-    from cceq.harness import lower_trial
     from cceq.vq import SystemCost
 
     def exhausted(self, dtype=None, copy=None):
@@ -506,7 +514,6 @@ def test_run_experiment_builds_one_game_per_trial(tmp_path, monkeypatch):
 def test_rr_and_fcfs_trials_build_no_dense_tables():
     # these methods read lines and single points; full-ccce's LP reads lines
     # too, and only its objective, the system cost, over the joint space
-    from cceq.harness import lower_trial
     config = base_config(num_trials=4, flight_counts=(12,), sigma=1.0)
     for trial in range(config.num_trials):
         lowered = lower_trial(config, trial, 12)
@@ -545,12 +552,78 @@ def test_config_rejects_bad_flights_and_sigma(overrides):
 
 
 def test_oversized_joint_space_becomes_solver_failure():
-    # 26 flights across 2 airlines exceeds the 2^24 joint-space cap
+    # 26 flights across 2 airlines exceed the 2^24 joint-space cap of the
+    # full selection program; fcfs builds no joint-space table and runs
     config = ExperimentConfig(num_trials=1, flight_counts=(26,), num_airlines=2,
                               master_seed=0, sigma=0.0)
-    record = run_trial(config, 0, "fcfs", 26)
+    lowered = lower_trial(config, 0, 26)
+    record = run_trial(config, 0, "full-ccce", 26, lowered)
     assert record.status == "solver-failure"
-    assert record.delay_cost is None
+    assert record.delay_cost is None and record.solve_seconds == 0.0
+    assert lowered.sys_cost._dense is None
+    assert run_trial(config, 0, "fcfs", 26, lowered).status == "ok"
+
+
+def test_rr_and_fcfs_run_past_the_joint_space_cap():
+    # 2^30 joint actions: fcfs and the RR methods allocate nothing of that
+    # size (a float table would take 8 GiB), the full program is refused
+    config = ExperimentConfig(num_trials=2, flight_counts=(30,), num_airlines=5,
+                              master_seed=0, sigma=1.0)
+    for trial in range(config.num_trials):
+        lowered = lower_trial(config, trial, 30)
+        assert lowered.game.num_joint == 2 ** 30
+        tracemalloc.start()
+        try:
+            records = [run_trial(config, trial, method, 30, lowered)
+                       for method in ("fcfs", "rr-nominal", "rr-ccce")]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 25  # 32 MiB, an eighth of one joint-space byte array
+        assert all(r.status in ("ok", "infeasible") for r in records)
+        assert any(r.status == "ok" for r in records)
+        assert run_trial(config, trial, "full-ccce", 30, lowered).status == "solver-failure"
+        assert "costs" not in vars(lowered.game) and lowered.sys_cost._dense is None
+
+
+def test_joint_space_past_int64_fails_every_method():
+    config = ExperimentConfig(num_trials=1, flight_counts=(70,), num_airlines=60,
+                              master_seed=0, sigma=1.0)
+    assert lower_trial(config, 0, 70).game is None
+    for method in METHODS:
+        record = run_trial(config, 0, method, 70)
+        assert record.status == "solver-failure" and record.delay_cost is None
+
+
+def test_no_agent_deviates_from_a_certified_ce_at_zero_noise():
+    # the optimum sits on binding incentive rows whose margins read +1e-16
+    # or so after renormalization; those are not incentives to deviate
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(150):
+        game = random_game(rng, max_agents=3, max_actions=3)
+        sys_cost = rng.integers(-5, 6, size=game.num_joint).astype(float)
+        result = solve_full_ccce(game, np.zeros(game.num_agents), sys_cost)
+        for flat in result.distribution.support.tolist():
+            rec = unflatten(flat, game.action_counts)
+            etas = np.zeros(game.num_agents)
+            assert simulate_deviation(game, result.distribution, rec, etas) == (rec, False)
+            checked += 1
+    assert checked > 300
+
+
+def test_full_ccce_follows_its_mixed_optima_at_zero_noise():
+    # two runways of rate 2 with empty queues, 5 airlines: full-ccce's optima
+    # mix several CC-PNE, and at sigma = 0 no airline leaves them
+    config = ExperimentConfig(methods=("full-ccce",), num_trials=40,
+                              flight_counts=tuple(range(6, 11)), sigma=0.0, master_seed=0,
+                              scenario={"runways": {"mu": [2, 2], "q0": [0, 0]},
+                                        "thresholds": {"congestion": 2, "lateness": 100}})
+    records = [run_trial(config, t, "full-ccce", f)
+               for f in config.flight_counts for t in range(config.num_trials)]
+    ok = [r for r in records if r.status == STATUS_OK]
+    assert len(ok) == len(records) == 200
+    assert sum(r.deviated for r in ok) == 0
 
 
 def test_rr_methods_identical_at_alpha_half_with_noise():

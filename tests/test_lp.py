@@ -16,6 +16,7 @@ from cceq.lp import (
 from oracles import (
     dense_constraints,
     enumerate_lp_vertices,
+    lp_from_rows,
     lp_with_known_optimum,
     z_space_program,
 )
@@ -47,7 +48,7 @@ def replay(lp: LinearProgram, values: np.ndarray):
 
 
 def test_equality_forces_objective():
-    lp = LinearProgram.from_rows([1.0, 1.0], eq=[([1.0, 1.0], 1.0)])
+    lp = lp_from_rows([1.0, 1.0], eq=[([1.0, 1.0], 1.0)])
     sol = solve(lp)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
@@ -55,7 +56,7 @@ def test_equality_forces_objective():
 
 
 def test_single_active_bound():
-    lp = LinearProgram.from_rows([-1.0], ineq=[([1.0], 3.0)])
+    lp = lp_from_rows([-1.0], ineq=[([1.0], 3.0)])
     sol = solve(lp)
     assert sol.status == LpStatus.OPTIMAL
     assert sol.values[0] == pytest.approx(3.0, abs=1e-9)
@@ -63,25 +64,25 @@ def test_single_active_bound():
 
 
 def test_infeasible_status():
-    lp = LinearProgram.from_rows([1.0], ineq=[([1.0], -1.0)])  # v <= -1 with v >= 0
+    lp = lp_from_rows([1.0], ineq=[([1.0], -1.0)])  # v <= -1 with v >= 0
     assert solve(lp).status == LpStatus.INFEASIBLE
 
 
 def test_unbounded_status():
-    lp = LinearProgram.from_rows([-1.0, 0.0], ineq=[([0.0, 1.0], 1.0)])
+    lp = lp_from_rows([-1.0, 0.0], ineq=[([0.0, 1.0], 1.0)])
     assert solve(lp).status == LpStatus.UNBOUNDED
-    assert solve(LinearProgram.from_rows([-1.0])).status == LpStatus.UNBOUNDED
+    assert solve(lp_from_rows([-1.0])).status == LpStatus.UNBOUNDED
 
 
 def test_lower_bound_shift():
-    lp = LinearProgram.from_rows([1.0], lower_bounds=[-2.0])
+    lp = lp_from_rows([1.0], lower_bounds=[-2.0])
     sol = solve(lp)
     assert sol.values[0] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_geq_constraints_via_negation():
     # minimize 3a + 4b s.t. a + b >= 2, 2a + b >= 3 (classic negative-rhs form)
-    lp = LinearProgram.from_rows(
+    lp = lp_from_rows(
         [3.0, 4.0], ineq=[([-1.0, -1.0], -2.0), ([-2.0, -1.0], -3.0)]
     )
     sol = solve(lp)
@@ -124,7 +125,7 @@ def test_agreement_with_scipy_on_random_lps():
         n = int(rng.integers(2, 7))
         m_ub = int(rng.integers(0, 7))
         m_eq = int(rng.integers(0, 3))
-        lp = LinearProgram.from_rows(
+        lp = lp_from_rows(
             rng.normal(size=n),
             ineq=[(rng.normal(size=n), float(rng.normal())) for _ in range(m_ub)],
             eq=[(rng.normal(size=n), float(rng.normal())) for _ in range(m_eq)],
@@ -148,7 +149,7 @@ def test_agreement_with_scipy_on_random_lps():
 
 def test_beale_degenerate_example_terminates():
     # Beale's classical cycling example; anti-cycling must terminate it.
-    lp = LinearProgram.from_rows(
+    lp = lp_from_rows(
         [-0.75, 150.0, -0.02, 6.0],
         ineq=[
             ([0.25, -60.0, -0.04, 9.0], 0.0),
@@ -162,12 +163,22 @@ def test_beale_degenerate_example_terminates():
     assert sol.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
 
 
-def test_iteration_cap_raises():
-    lp = LinearProgram.from_rows(
+def test_iteration_cap_raises(monkeypatch):
+    # a stop without a verdict, here at a simplex iteration limit of one
+    core = load_highs()
+    highs_class = core._Highs
+
+    def capped():
+        highs = highs_class()
+        highs.setOptionValue("simplex_iteration_limit", 1)
+        return highs
+
+    monkeypatch.setattr(core, "_Highs", capped)
+    lp = lp_from_rows(
         [-1.0, -1.0], ineq=[([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([1.0, 1.0], 1.5)]
     )
-    with pytest.raises(SolverFailureError):
-        solve(lp, max_iterations=1)
+    with pytest.raises(SolverFailureError, match="limit"):
+        solve(lp)
 
 
 def test_solve_is_deterministic():
@@ -181,11 +192,11 @@ def test_solve_is_deterministic():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        LinearProgram.from_rows([1.0, np.inf])
+        lp_from_rows([1.0, np.inf])
     with pytest.raises(ValueError):
-        LinearProgram.from_rows([1.0], ineq=[([1.0, 2.0], 1.0)])
+        lp_from_rows([1.0], ineq=[([1.0, 2.0], 1.0)])
     with pytest.raises(ValueError):
-        LinearProgram.from_rows([1.0], lower_bounds=[0.0, 0.0])
+        lp_from_rows([1.0], lower_bounds=[0.0, 0.0])
     # column-wise form: start must cover every column, index every row
     good = dict(objective=[1.0, 1.0], start=[0, 1, 2], index=[0, 0], value=[1.0, 1.0],
                 row_lower=[-np.inf], row_upper=[1.0], lower_bounds=[0.0, 0.0])
