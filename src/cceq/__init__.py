@@ -24,7 +24,6 @@ from .equilibrium import (
     assemble_ce_constraints,
     check_ccce_feasibility,
     enumerate_cc_pne,
-    is_cc_pne,
     sample_recommendation,
     solve_full_ccce,
     solve_reduced_rank,

@@ -37,7 +37,6 @@ from .game import (
     FiniteGame,
     JointDistribution,
     check_joint_space,
-    flat_index,
     incentive_gains,
     unflatten,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ccce_program",
     "check_ccce_feasibility",
     "enumerate_cc_pne",
-    "is_cc_pne",
     "sample_recommendation",
     "solve_full_ccce",
     "solve_reduced_rank",
@@ -324,21 +322,6 @@ def check_ccce_feasibility(game: FiniteGame, z: JointDistribution, q) -> tuple[b
     return worst <= FEASIBILITY_TOL, worst
 
 
-def is_cc_pne(game: FiniteGame, profile, q) -> bool:
-    """Whether a pure profile is a CC-PNE under the tightenings ``q``.
-
-    Deterministic equivalent check: for every agent and every alternative,
-    the nominal deviation margin plus the agent's tightening q_i must be
-    nonpositive, i.e. ``cost + q_i <= min over the other actions`` on the
-    agent's line through the profile; that minimum is cached per game
-    (:attr:`FiniteGame.alternative_minima`).
-    """
-    q = _tightenings(game, q)
-    flat_index(profile, game.action_counts)  # validates ranges
-    entries = game.line_entries([int(c) for c in profile])
-    return not (game.flat_lines[entries] + q > game.alternative_minima[entries]).any()
-
-
 def enumerate_cc_pne(game: FiniteGame, q, limit: int | None = None) -> np.ndarray:
     """Exhaustively enumerate the CC-PNE under the tightenings ``q``: their
     ascending flat indices into the joint action space.
@@ -346,10 +329,13 @@ def enumerate_cc_pne(game: FiniteGame, q, limit: int | None = None) -> np.ndarra
     An empty array is a valid result. ``limit``, if given, must be
     nonnegative and truncates to the first matches.
 
-    Agent i passes at a profile by the test of :func:`is_cc_pne`, read from
-    its lines: ``cost + q_i <= min over its other actions`` at its opponent
-    key. An agent's candidates are the actions that pass at some key, and
-    only the product of the candidate sets is checked; a product larger than
+    A profile is a CC-PNE when no agent gains by a unilateral deviation
+    after its tightening: for every agent i, ``cost + q_i <= min over its
+    other actions`` on its line at its opponent key, the deterministic
+    equivalent of each chance constraint. That minimum is cached per game
+    (:attr:`FiniteGame.alternative_minima`). An agent's candidates are the
+    actions that pass at some key, and only the product of the candidate
+    sets is checked; a product larger than
     :data:`cceq.game.JOINT_SPACE_CAP` raises :class:`BudgetExceededError`.
     """
     q = _tightenings(game, q)

@@ -240,12 +240,12 @@ def _action_counts(action_counts) -> tuple[int, ...]:
     return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability mass over joint actions, held by its support: ascending
     int64 flat indices and their positive weights, which sum to one within
     MASS_TOL. Checked in O(|support|); the dense ``mass`` is built only when
-    read."""
+    read. Equality is identity, so that a distribution can be hashed."""
 
     support: np.ndarray
     weights: np.ndarray

@@ -22,7 +22,7 @@ import csv
 import numbers
 import statistics
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -279,28 +279,6 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
     return final_action, final_action != rec
 
 
-def _solve_for_method(method, instance, game, sys_cost, q, deadline):
-    """Method dispatch for pipeline step 3, ``q`` being the trial's
-    tightenings; returns (z, status, rr_size_d)."""
-    rr_size_d = None
-    if method == METHOD_FCFS:
-        point = JointDistribution.point_mass(fcfs_profile(instance), game.action_counts)
-        result = EquilibriumResult(LpStatus.OPTIMAL, point)
-    elif method == METHOD_FULL_CCCE:
-        result = solve_full_ccce(game, q, sys_cost, deadline=deadline)
-    elif method in (METHOD_RR_NOMINAL, METHOD_RR_CCCE):
-        if method == METHOD_RR_NOMINAL:
-            q = np.zeros(game.num_agents)
-        pne = enumerate_cc_pne(game, q)
-        rr_size_d = len(pne)
-        result = solve_reduced_rank(game, pne, sys_cost)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if result.status != LpStatus.OPTIMAL:
-        return None, STATUS_INFEASIBLE, rr_size_d
-    return result.distribution, STATUS_OK, rr_size_d
-
-
 class LoweredTrial(NamedTuple):
     """One trial's instance and game, shared by every method run on it.
 
@@ -345,90 +323,80 @@ def lower_trial(config: ExperimentConfig, trial_index: int, num_flights: int) ->
 
 def run_trial(config: ExperimentConfig, trial_index: int, method: str,
               num_flights: int, lowered: LoweredTrial | None = None) -> TrialRecord:
-    """Run one benchmark cell.
+    """Run one benchmark cell on ``lowered``, the result of
+    :func:`lower_trial` for this trial (computed here when not given): solve
+    for the method's recommendation distribution, sample a recommendation,
+    simulate the airlines' deviations and price the executed joint action.
 
-    Pipeline: generate the trial's instance, build its game and draw the
-    perturbations (all skipped when ``lowered``, the result of
-    :func:`lower_trial` for this trial, is given), compute the method's
-    recommendation distribution (this step alone is timed and held to the
-    per-solve budget: the selection LP solve checks it after assembly and
-    hands the remainder to the solver as its time limit), sample a
-    recommendation (a point mass needs no draw: its stream, keyed to this
-    trial and method alone, is left unread), simulate deviations under the
-    per-agent perturbations, and price the resulting joint action with the
-    coordinator's cost table.
-    Per-trial failures, running out of memory included, become statuses,
-    never exceptions.
+    Only the solve is timed and held to the per-solve budget. A refusal
+    before it (``build_game`` refused the instance, or full-ccce's joint
+    space or objective does not fit) reads ``solver-failure`` with
+    ``solve_seconds`` 0.0. Per-trial failures, running out of memory
+    included, become statuses, never exceptions.
     """
     if lowered is None:
         lowered = lower_trial(config, trial_index, num_flights)
     instance, game, sys_cost, q, etas = lowered
-    lowered_ok = game is not None
-    if lowered_ok and method == METHOD_FULL_CCCE:
+    cell = dict(trial_index=trial_index, method=method, num_flights=num_flights,
+                alpha=config.alpha, sigma=config.sigma)
+    refused = game is None
+    if not refused and method == METHOD_FULL_CCCE:
         # loading the solver module once (~10 ms) and pricing every joint
-        # action for the LP's objective are lowering, kept outside
-        # solve_seconds; a joint space above the cap, or running out of
-        # memory here, fails the row
+        # action for the LP's objective are lowering, kept outside solve_seconds
         try:
             check_joint_space(game.action_counts)
             load_highs()
-            np.asarray(sys_cost)
+            objective = np.asarray(sys_cost)
         except (BudgetExceededError, MemoryError):
-            lowered_ok = False
-    if not lowered_ok:
-        return TrialRecord(
-            trial_index=trial_index, method=method, num_flights=num_flights,
-            alpha=config.alpha, sigma=config.sigma,
-            status=STATUS_SOLVER_FAILURE, solve_seconds=0.0,
-        )
+            refused = True
+    if refused:
+        return TrialRecord(**cell, status=STATUS_SOLVER_FAILURE, solve_seconds=0.0)
 
+    rr_size_d = None
     start = time.perf_counter()
     try:
-        z, status, rr_size_d = _solve_for_method(
-            method, instance, game, sys_cost, q, deadline=start + config.time_budget_per_solve,
-        )
+        if method == METHOD_FCFS:
+            point = JointDistribution.point_mass(fcfs_profile(instance), game.action_counts)
+            result = EquilibriumResult(LpStatus.OPTIMAL, point)
+        elif method == METHOD_FULL_CCCE:
+            result = solve_full_ccce(game, q, objective,
+                                     deadline=start + config.time_budget_per_solve)
+        elif method in (METHOD_RR_NOMINAL, METHOD_RR_CCCE):
+            pne = enumerate_cc_pne(game, q if method == METHOD_RR_CCCE
+                                   else np.zeros(game.num_agents))
+            result = solve_reduced_rank(game, pne, sys_cost)
+            rr_size_d = len(pne)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        status = STATUS_OK if result.status == LpStatus.OPTIMAL else STATUS_INFEASIBLE
     except TimeoutError:
-        z, status, rr_size_d = None, STATUS_TIMEOUT, None
+        status = STATUS_TIMEOUT
     except (SolverFailureError, BudgetExceededError, MemoryError):
-        z, status, rr_size_d = None, STATUS_SOLVER_FAILURE, None
+        status = STATUS_SOLVER_FAILURE
     solve_seconds = time.perf_counter() - start
     if status != STATUS_SOLVER_FAILURE and solve_seconds > config.time_budget_per_solve:
         status = STATUS_TIMEOUT
 
-    base = TrialRecord(
-        trial_index=trial_index,
-        method=method,
-        num_flights=num_flights,
-        alpha=config.alpha,
-        sigma=config.sigma,
-        status=status,
-        solve_seconds=solve_seconds,
-        rr_size_d=rr_size_d,
-    )
-    if status != STATUS_OK:
-        return base
-
-    if z.support.size == 1:
-        recommendation = unflatten(int(z.support[0]), game.action_counts)
-    else:
-        rec_rng = substream(config.master_seed, _STREAM_RECOMMEND, trial_index,
-                            num_flights, _METHOD_IDS[method])
-        recommendation = sample_recommendation(z, rec_rng)
-    final_action, deviated = simulate_deviation(game, z, recommendation, etas)
-    if method == METHOD_FCFS:
-        # FCFS is the uncoordinated operational baseline: airlines execute
-        # their own schedule-order releases, there is no coordinator
-        # recommendation to abandon. The deviation flag still reports whether
-        # any airline would have preferred a unilateral switch.
-        final_action = recommendation
-    delay_cost = float(sys_cost[flat_index(final_action, game.action_counts)])
-    return replace(
-        base,
-        delay_cost=delay_cost,
-        deviated=deviated,
-        recommendation=recommendation,
-        final_action=final_action,
-    )
+    delay_cost = deviated = recommendation = final_action = None
+    if status == STATUS_OK:
+        z = result.distribution
+        if z.support.size == 1:  # a point mass needs no draw: its stream is left unread
+            recommendation = unflatten(int(z.support[0]), game.action_counts)
+        else:
+            rec_rng = substream(config.master_seed, _STREAM_RECOMMEND, trial_index,
+                                num_flights, _METHOD_IDS[method])
+            recommendation = sample_recommendation(z, rec_rng)
+        final_action, deviated = simulate_deviation(game, z, recommendation, etas)
+        if method == METHOD_FCFS:
+            # FCFS is the uncoordinated operational baseline: airlines execute
+            # their own schedule-order releases, there is no coordinator
+            # recommendation to abandon. The deviation flag still reports whether
+            # any airline would have preferred a unilateral switch.
+            final_action = recommendation
+        delay_cost = float(sys_cost[flat_index(final_action, game.action_counts)])
+    return TrialRecord(**cell, status=status, solve_seconds=solve_seconds,
+                       delay_cost=delay_cost, deviated=deviated, rr_size_d=rr_size_d,
+                       recommendation=recommendation, final_action=final_action)
 
 
 @dataclass(frozen=True)

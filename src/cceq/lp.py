@@ -45,7 +45,7 @@ class LpStatus(str, Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """minimize objective . v  s.t.  row_lower <= A @ v <= row_upper,
     v >= lower_bounds (componentwise).
@@ -53,6 +53,7 @@ class LinearProgram:
     ``A`` is stored column-wise: column j has the coefficients
     ``value[start[j]:start[j + 1]]`` in the rows ``index[start[j]:start[j + 1]]``.
     An inequality row has ``row_lower = -inf``; an equality row has equal bounds.
+    Equality is identity: the fields are arrays.
     """
 
     objective: np.ndarray
@@ -102,7 +103,7 @@ class LinearProgram:
         return self.row_upper.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     status: LpStatus
     values: np.ndarray | None = None

@@ -319,8 +319,8 @@ class SystemCost:
     runway state by ``steps[j]``. Indexing by a flat index or an index array
     prices those joint actions only: one gather and one accumulation over
     the flights in ascending id. ``np.asarray`` folds the flights, in the
-    same order, over the whole joint space and caches the table, which later
-    indexing then reads; both are bit-identical.
+    same order, over the whole joint space, each time it is called; both
+    are bit-identical.
     """
 
     def __init__(self, cost: np.ndarray, positions: np.ndarray, steps: np.ndarray):
@@ -335,31 +335,25 @@ class SystemCost:
         # is base + columns @ released (exact in floats, a BLAS product)
         self._base = (np.arange(num_flights) * 2 * num_states)[:, None]
         self._columns = steps + num_states * np.eye(num_flights)
-        self._dense = None
 
     def __getitem__(self, flats):
         """The system cost at a flat index (a float) or at an array of them."""
         flats = np.asarray(flats)
         if (flats >> self._num_bits).any():  # negative or past the joint space
             raise IndexError(f"flat index out of range [0, {1 << self._num_bits})")
-        if self._dense is not None:
-            return self._dense[flats]
         released = np.ravel(flats) >> self._positions & 1  # one row per flight
         entries = (self._columns @ released).astype(np.intp) + self._base
         total = np.add.accumulate(np.take(self._cost, entries), axis=0)[-1]
         return total.reshape(flats.shape)[()]
 
     def __array__(self, dtype=None, copy=None):
-        if self._dense is None:
-            # the same fold over the whole joint space, flight by flight, in
-            # buffers the size of the table
-            flats = np.arange(1 << self._num_bits)
-            positions = self._positions.ravel().tolist()
-            state = sum((flats >> position & 1) * step
-                        for position, step in zip(positions, self._steps.tolist()))
-            total = 0.0
-            for position, base in zip(positions, self._base.ravel().tolist()):
-                total = total + self._cost[base + self._num_states * (flats >> position & 1) + state]
-            self._dense = total
-            self._dense.setflags(write=False)
-        return self._dense.astype(dtype or float, copy=bool(copy))
+        # the same fold over the whole joint space, flight by flight, in
+        # buffers the size of the table
+        flats = np.arange(1 << self._num_bits)
+        positions = self._positions.ravel().tolist()
+        state = sum((flats >> position & 1) * step
+                    for position, step in zip(positions, self._steps.tolist()))
+        total = 0.0
+        for position, base in zip(positions, self._base.ravel().tolist()):
+            total = total + self._cost[base + self._num_states * (flats >> position & 1) + state]
+        return total.astype(dtype or float, copy=False)

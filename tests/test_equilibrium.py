@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,11 +5,11 @@ import cceq.equilibrium as eqmod
 import cceq.game
 from cceq import lp as lpmod
 from cceq.equilibrium import (
+    EquilibriumResult,
     assemble_ce_constraints,
     ccce_program,
     check_ccce_feasibility,
     enumerate_cc_pne,
-    is_cc_pne,
     sample_recommendation,
     solve_full_ccce,
     solve_reduced_rank,
@@ -21,7 +19,6 @@ from cceq.game import (
     FiniteGame,
     JointDistribution,
     incentive_gains,
-    unflatten,
 )
 from cceq.lp import LpSolution, LpStatus, SolverFailureError
 from cceq.uncertainty import substream, tightenings
@@ -199,11 +196,14 @@ def test_full_solve_matches_vertex_oracle_on_random_games(intersection_game):
         assert result.objective == pytest.approx(oracle, abs=1e-6)
 
 
-def test_is_cc_pne_intersection_game(intersection_game):
-    assert is_cc_pne(intersection_game, (0, 1), Q1)
-    assert not is_cc_pne(intersection_game, (0, 1), Q1_99)
-    assert not is_cc_pne(intersection_game, (0, 0), Q0)
-    assert is_cc_pne(intersection_game, (1, 0), Q0)
+def test_cc_pne_membership_intersection_game(intersection_game):
+    def members(q):
+        return profiles(enumerate_cc_pne(intersection_game, q), (2, 2))
+
+    assert (0, 1) in members(Q1)
+    assert (0, 1) not in members(Q1_99)
+    assert (0, 0) not in members(Q0)
+    assert (1, 0) in members(Q0)
 
 
 def test_enumerate_intersection_game(intersection_game):
@@ -237,9 +237,7 @@ def test_enumerate_matches_scalar_check():
         sigma = float(rng.choice([0.0, 0.5, 1.0]))
         alpha = float(rng.choice([0.2, 0.5, 0.9, 0.99]))  # 0.2: negative tightenings
         q = tightenings(sigma, alpha, n)
-        found = set(profiles(enumerate_cc_pne(game, q), game.action_counts))
-        for coords in itertools.product(*[range(m) for m in game.action_counts]):
-            assert (coords in found) == is_cc_pne(game, coords, q)
+        assert np.array_equal(enumerate_cc_pne(game, q), cc_pne_flats(game, q))
 
 
 def test_enumerate_sub_ulp_tightening_admits_no_worse_action():
@@ -248,7 +246,6 @@ def test_enumerate_sub_ulp_tightening_admits_no_worse_action():
     game = FiniteGame((3,), np.array([[1.0, 2.0, 2.0]]))
     q = tightenings(1e-20, 0.9, 1)
     assert list(enumerate_cc_pne(game, q)) == list(cc_pne_flats(game, q)) == [0]
-    assert [is_cc_pne(game, (a,), q) for a in range(3)] == [True, False, False]
 
 
 # Action counts covering one action, two, 3..16 and more than 16, an agent
@@ -267,7 +264,6 @@ TIGHTENINGS = [(1.0, 0.2), (0.0, 0.9), (1e-20, 0.9), (1.0, 0.9), ((0.0, 1e-20, 1
 def test_enumerate_matches_brute_force_on_every_branch(counts):
     rng = np.random.default_rng(sum(counts))
     n, num_joint = len(counts), int(np.prod(counts))
-    every = list(itertools.product(*[range(m) for m in counts]))
     # all agents' costs random (tie-heavy integers, then continuous), then
     # each agent alone facing constant costs of the others, so that no other
     # agent's test can hide a wrong one, with fewer ties so that runner-ups
@@ -285,8 +281,6 @@ def test_enumerate_matches_brute_force_on_every_branch(counts):
                 sigmas = tuple(s if j == alone else 0.0 for j, s in enumerate(sigmas))
             q = tightenings(sigmas, alpha, n)
             expected = profiles(cc_pne_flats(game, q), counts)
-            checked = tuple(p for p in every if is_cc_pne(game, p, q))
-            assert checked == expected, (sigmas, alpha, alone)
             assert profiles(enumerate_cc_pne(game, q), counts) == expected, (sigmas, alpha, alone)
 
 
@@ -305,11 +299,7 @@ def test_enumerate_on_airport_games_with_many_candidates(num_flights, trial, sig
     bars = np.split(game.alternative_minima, np.cumsum([line.size for line in game.lines])[:-1])
     for line, q_i, bar in zip(game.lines, q, bars):
         assert (line + q_i <= bar.reshape(line.shape)).any(axis=1).sum() > 1
-    expected = cc_pne_flats(game, q)
-    assert np.array_equal(enumerate_cc_pne(game, q), expected)
-    rng = np.random.default_rng(num_flights)
-    for flat in np.concatenate([expected, rng.integers(game.num_joint, size=50)]):
-        assert is_cc_pne(game, unflatten(flat, game.action_counts), q) == (flat in expected)
+    assert np.array_equal(enumerate_cc_pne(game, q), cc_pne_flats(game, q))
 
 
 def test_tightening_validation(intersection_game, half_device, intersection_sys_cost):
@@ -317,8 +307,6 @@ def test_tightening_validation(intersection_game, half_device, intersection_sys_
     for q in (np.zeros(1), np.zeros(3), np.zeros((2, 1)), [0.0, np.nan], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="tightening"):
             enumerate_cc_pne(intersection_game, q)
-        with pytest.raises(ValueError, match="tightening"):
-            is_cc_pne(intersection_game, (0, 0), q)
         with pytest.raises(ValueError, match="tightening"):
             check_ccce_feasibility(intersection_game, half_device, q)
         with pytest.raises(ValueError, match="tightening"):
@@ -556,3 +544,27 @@ def test_full_solve_rejects_an_uncertified_result(intersection_game, intersectio
     monkeypatch.setattr("cceq.lp.solve", lambda program, deadline=None: fake)
     with pytest.raises(SolverFailureError, match="worst margin 2"):
         solve_full_ccce(intersection_game, Q0, intersection_sys_cost)
+
+
+def test_results_compare_and_hash_without_raising(intersection_game, half_device,
+                                                  intersection_sys_cost):
+    # the frozen dataclasses that hold arrays compare by identity, so ==, !=
+    # and hash work on them, and results can be kept in a set
+    twin = JointDistribution(half_device.support, half_device.weights, (2, 2))
+    solved = [solve_full_ccce(intersection_game, Q0, intersection_sys_cost) for _ in range(2)]
+    pairs = [
+        (half_device, twin),
+        (ccce_program(intersection_game, Q0, intersection_sys_cost),
+         ccce_program(intersection_game, Q0, intersection_sys_cost)),
+        (LpSolution(LpStatus.OPTIMAL, np.ones(2), 1.0), LpSolution(LpStatus.OPTIMAL, np.ones(2), 1.0)),
+        (EquilibriumResult(LpStatus.OPTIMAL, half_device, 1.0),
+         EquilibriumResult(LpStatus.OPTIMAL, twin, 1.0)),
+        tuple(solved),
+    ]
+    for a, b in pairs:
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+    assert EquilibriumResult(LpStatus.INFEASIBLE) == EquilibriumResult(LpStatus.INFEASIBLE)
+    assert len(set(solved)) == 2

@@ -32,8 +32,9 @@ from cceq.harness import (
     summarize,
     summarize_paired,
 )
+from cceq.lp import SolverFailureError
 from cceq.uncertainty import substream
-from cceq.vq import build_game, generate_instance
+from cceq.vq import SystemCost, build_game, generate_instance
 from oracles import random_game
 
 
@@ -268,17 +269,23 @@ def test_point_mass_recommendation_is_the_draw_it_skips(monkeypatch):
     # point without a draw, and a draw from the row's own stream would have
     # returned the same point
     import cceq.harness as hmod
-    streams = []
+    streams, recommended = [], []
     monkeypatch.setattr(hmod, "substream", lambda *path: streams.append(path) or substream(*path))
+
+    def spied(game, z, recommendation, etas):
+        recommended.append(z)
+        return simulate_deviation(game, z, recommendation, etas)
+
+    monkeypatch.setattr(hmod, "simulate_deviation", spied)
     config = base_config(sigma=1.0, num_trials=3)
     for trial in range(3):
         lowered = hmod.lower_trial(config, trial, 6)
         for method in ("fcfs", "rr-nominal", "rr-ccce"):
             streams.clear()
+            recommended.clear()
             record = run_trial(config, trial, method, 6, lowered)
             assert record.status == STATUS_OK and streams == []
-            z, _, _ = hmod._solve_for_method(method, lowered.instance, lowered.game,
-                                             lowered.sys_cost, lowered.q, deadline=None)
+            [z] = recommended
             assert z.support.size == 1
             rng = substream(12, hmod._STREAM_RECOMMEND, trial, 6, hmod._METHOD_IDS[method])
             assert record.recommendation == sample_recommendation(z, rng)
@@ -392,6 +399,53 @@ def test_memory_error_before_the_solve_becomes_solver_failure(tmp_path, monkeypa
     result = run_experiment(config)
     statuses = [(r.method, r.status) for r in result.records]
     assert statuses == [("full-ccce", "solver-failure")] * 2 + [("rr-nominal", "ok")] * 2
+
+
+def _raises(error):
+    def raiser(*args, **kwargs):
+        raise error("injected")
+    return raiser
+
+
+# (method, config overrides, flight count, trial, (patched target, error) or
+# None, status, whether the solve was timed)
+ROW_ENDINGS = {
+    "ok-full-ccce": ("full-ccce", dict(sigma=1.0), 6, 0, None, "ok", True),
+    "ok-rr-ccce": ("rr-ccce", dict(sigma=1.0), 6, 0, None, "ok", True),
+    "infeasible": ("full-ccce", dict(sigma=5.0, num_airlines=5, master_seed=0), 8, 27, None,
+                   "infeasible", True),
+    "timeout": ("full-ccce", dict(time_budget_per_solve=1e-4), 6, 0, None, "timeout", True),
+    "build-game-refused": ("rr-ccce", dict(sigma=1.0, num_airlines=60, master_seed=0), 70, 0,
+                           None, "solver-failure", False),
+    "joint-space-cap": ("full-ccce", dict(num_airlines=2, master_seed=0), 26, 0, None,
+                        "solver-failure", False),
+    "memory-error-pricing": ("full-ccce", {}, 6, 0, ("cceq.vq.SystemCost.__array__", MemoryError),
+                             "solver-failure", False),
+    "solver-failure-in-solve": ("full-ccce", {}, 6, 0,
+                                ("cceq.harness.solve_full_ccce", SolverFailureError),
+                                "solver-failure", True),
+}
+
+
+@pytest.mark.parametrize("ending", ROW_ENDINGS)
+def test_every_way_a_row_ends_fills_its_fields(ending, monkeypatch):
+    method, overrides, num_flights, trial, patched, status, timed = ROW_ENDINGS[ending]
+    if patched is not None:
+        target, error = patched
+        monkeypatch.setattr(target, _raises(error))
+    config = base_config(flight_counts=(num_flights,), num_trials=trial + 1, **overrides)
+    record = run_trial(config, trial, method, num_flights)
+    assert record.status == status
+    # a refusal before the timer starts reads exactly 0
+    assert record.solve_seconds > 0.0 if timed else record.solve_seconds == 0.0
+    # an RR solve has no deadline: it returns unless it fails
+    rr_returned = method.startswith("rr-") and status != "solver-failure"
+    assert (record.rr_size_d is not None) == rr_returned
+    outcome = (record.delay_cost, record.deviated, record.recommendation, record.final_action)
+    if status == "ok":
+        assert None not in outcome
+    else:
+        assert outcome == (None,) * 4
 
 
 def test_run_experiment_csv_and_summary(tmp_path):
@@ -511,18 +565,35 @@ def test_run_experiment_builds_one_game_per_trial(tmp_path, monkeypatch):
     assert calls == [6] * 3 + [7] * 3
 
 
-def test_rr_and_fcfs_trials_build_no_dense_tables():
+@pytest.fixture
+def priced(monkeypatch):
+    """The system-cost tables priced over the whole joint space, one entry
+    per ``np.asarray`` call on a ``SystemCost``."""
+    tables = []
+    dense = SystemCost.__array__
+
+    def counted(self, *args, **kwargs):
+        tables.append(self)
+        return dense(self, *args, **kwargs)
+
+    monkeypatch.setattr(SystemCost, "__array__", counted)
+    return tables
+
+
+def test_rr_and_fcfs_trials_build_no_dense_tables(priced):
     # these methods read lines and single points; full-ccce's LP reads lines
-    # too, and only its objective, the system cost, over the joint space
+    # too, and only its objective, the system cost, over the joint space,
+    # priced once per row
     config = base_config(num_trials=4, flight_counts=(12,), sigma=1.0)
     for trial in range(config.num_trials):
         lowered = lower_trial(config, trial, 12)
         for method in ("fcfs", "rr-nominal", "rr-ccce"):
             assert run_trial(config, trial, method, 12, lowered).status in ("ok", "infeasible")
-        assert "costs" not in vars(lowered.game)
-        assert lowered.sys_cost._dense is None
-        run_trial(config, trial, "full-ccce", 12, lowered)
-        assert "costs" not in vars(lowered.game) and lowered.sys_cost._dense is not None
+        assert "costs" not in vars(lowered.game) and priced == []
+        for _ in range(2):
+            run_trial(config, trial, "full-ccce", 12, lowered)
+            assert "costs" not in vars(lowered.game) and priced == [lowered.sys_cost]
+            priced.clear()
 
 
 @pytest.mark.parametrize("sigma, num_flights, trial", [(5.0, 8, 27), (10.0, 10, 48)])
@@ -551,7 +622,7 @@ def test_config_rejects_bad_flights_and_sigma(overrides):
         ExperimentConfig(**overrides)
 
 
-def test_oversized_joint_space_becomes_solver_failure():
+def test_oversized_joint_space_becomes_solver_failure(priced):
     # 26 flights across 2 airlines exceed the 2^24 joint-space cap of the
     # full selection program; fcfs builds no joint-space table and runs
     config = ExperimentConfig(num_trials=1, flight_counts=(26,), num_airlines=2,
@@ -560,11 +631,11 @@ def test_oversized_joint_space_becomes_solver_failure():
     record = run_trial(config, 0, "full-ccce", 26, lowered)
     assert record.status == "solver-failure"
     assert record.delay_cost is None and record.solve_seconds == 0.0
-    assert lowered.sys_cost._dense is None
+    assert priced == []
     assert run_trial(config, 0, "fcfs", 26, lowered).status == "ok"
 
 
-def test_rr_and_fcfs_run_past_the_joint_space_cap():
+def test_rr_and_fcfs_run_past_the_joint_space_cap(priced):
     # 2^30 joint actions: fcfs and the RR methods allocate nothing of that
     # size (a float table would take 8 GiB), the full program is refused
     config = ExperimentConfig(num_trials=2, flight_counts=(30,), num_airlines=5,
@@ -583,7 +654,7 @@ def test_rr_and_fcfs_run_past_the_joint_space_cap():
         assert all(r.status in ("ok", "infeasible") for r in records)
         assert any(r.status == "ok" for r in records)
         assert run_trial(config, trial, "full-ccce", 30, lowered).status == "solver-failure"
-        assert "costs" not in vars(lowered.game) and lowered.sys_cost._dense is None
+        assert "costs" not in vars(lowered.game) and priced == []
 
 
 def test_joint_space_past_int64_fails_every_method():
