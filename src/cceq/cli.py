@@ -83,9 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    doc = {}
-    if args.config is not None:
-        doc = json.loads(args.config.read_text())
+    doc = {} if args.config is None else json.loads(args.config.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
     overrides = {
         "methods": tuple(args.methods.split(",")) if args.methods else None,
         "num_trials": args.trials,

@@ -259,7 +259,6 @@ def ccce_program(game: FiniteGame, q, sys_cost) -> LinearProgram:
         value=value,
         row_lower=np.concatenate((np.full(num_incentive, -np.inf), np.ones(1), np.zeros(num_keys))),
         row_upper=np.concatenate((np.zeros(num_incentive), np.ones(1), np.zeros(num_keys))),
-        lower_bounds=np.zeros(game.num_joint + num_keys),
     )
 
 
@@ -284,8 +283,6 @@ def solve_full_ccce(game: FiniteGame, q, sys_cost,
     solution = lpmod.solve(ccce_program(game, q, sys_cost), deadline=deadline)
     if solution.status == LpStatus.INFEASIBLE:
         return EquilibriumResult(LpStatus.INFEASIBLE)
-    if solution.status != LpStatus.OPTIMAL:  # bounded feasible set; defensive
-        raise SolverFailureError("selection LP reported unbounded")
     # within the solver's feasibility tolerance a vertex can carry "ghost"
     # masses on joint actions whose incentive constraints fail; kept, their
     # tiny marginals would blow the normalized margins up

@@ -344,6 +344,8 @@ def game_to_dict(game: FiniteGame) -> dict:
 
 
 def game_from_dict(doc: dict) -> FiniteGame:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a game must be a JSON object, got {type(doc).__name__}")
     counts = tuple(int(m) for m in doc["action_counts"])
     if int(doc["agents"]) != len(counts):
         raise ValueError("'agents' disagrees with the length of 'action_counts'")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+import os
 import statistics
 import time
 from dataclasses import dataclass, field, fields
@@ -153,6 +154,8 @@ class ExperimentConfig:
             raise ValueError("master_seed must be nonnegative")
         if not self.time_budget_per_solve > 0:  # NaN included
             raise ValueError("time_budget_per_solve must be positive")
+        if not isinstance(self.out_path, (str, os.PathLike)):
+            raise ValueError(f"out_path must be a path, got {self.out_path!r}")
         if not isinstance(self.scenario, dict) or set(self.scenario) - set(_SCENARIO_KEYS):
             raise ValueError(f"scenario keys must be a subset of {sorted(_SCENARIO_KEYS)}")
         for name, keys in _SCENARIO_KEYS.items():
@@ -167,13 +170,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Build from a JSON-style dict; sigma may come nested as uncertainty.sigma."""
+        """Build from a JSON-style dict; sigma may come nested as
+        uncertainty.sigma, and out_path as out. A field name beats its alias."""
         doc = dict(doc)
         uncertainty = doc.pop("uncertainty", None)
         if uncertainty is not None:
+            if not isinstance(uncertainty, dict) or set(uncertainty) - {"sigma"}:
+                raise ValueError(f"uncertainty must be an object holding only sigma, "
+                                 f"got {uncertainty!r}")
             doc.setdefault("sigma", uncertainty.get("sigma", 0.0))
         if "out" in doc:
-            doc["out_path"] = doc.pop("out")
+            doc.setdefault("out_path", doc.pop("out"))
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -349,6 +356,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
             objective = np.asarray(sys_cost)
         except (BudgetExceededError, MemoryError):
             refused = True
+    elif not refused and method in (METHOD_RR_NOMINAL, METHOD_RR_CCCE):
+        # the enumeration's line minima, computed once per game, are lowering too
+        game.alternative_minima
     if refused:
         return TrialRecord(**cell, status=STATUS_SOLVER_FAILURE, solve_seconds=0.0)
 

@@ -36,19 +36,18 @@ __all__ = [
 
 
 class SolverFailureError(RuntimeError):
-    """The solver stopped without a verdict: an iteration limit or a numerical failure."""
+    """The solver stopped without an optimal or infeasible verdict: a limit,
+    a numerical failure or an unbounded program."""
 
 
 class LpStatus(str, Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """minimize objective . v  s.t.  row_lower <= A @ v <= row_upper,
-    v >= lower_bounds (componentwise).
+    """minimize objective . v  s.t.  row_lower <= A @ v <= row_upper,  v >= 0.
 
     ``A`` is stored column-wise: column j has the coefficients
     ``value[start[j]:start[j + 1]]`` in the rows ``index[start[j]:start[j + 1]]``.
@@ -62,7 +61,6 @@ class LinearProgram:
     value: np.ndarray
     row_lower: np.ndarray
     row_upper: np.ndarray
-    lower_bounds: np.ndarray
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.objective, dtype=float)
@@ -74,7 +72,6 @@ class LinearProgram:
         value = np.ascontiguousarray(self.value, dtype=float).reshape(-1)
         lo = np.ascontiguousarray(self.row_lower, dtype=float).reshape(-1)
         hi = np.ascontiguousarray(self.row_upper, dtype=float).reshape(-1)
-        lb = np.ascontiguousarray(self.lower_bounds, dtype=float).reshape(-1)
         if start.size != n + 1 or start[0] != 0 or np.any(np.diff(start) < 0):
             raise ValueError("start must hold num_vars + 1 nondecreasing offsets from 0")
         if index.size != value.size or start[-1] != value.size:
@@ -83,14 +80,10 @@ class LinearProgram:
             raise ValueError("row bounds must pair up with row_lower <= row_upper")
         if index.size and (index.min() < 0 or index.max() >= lo.size):
             raise ValueError("row index out of range")
-        if lb.size != n:
-            raise ValueError("lower_bounds length must equal num_vars")
-        if not all(np.isfinite(arr).all() for arr in (c, value, lb)):
+        if not (np.isfinite(c).all() and np.isfinite(value).all()):
             raise ValueError("all LP coefficients must be finite")
-        for name, arr in (
-            ("objective", c), ("start", start), ("index", index), ("value", value),
-            ("row_lower", lo), ("row_upper", hi), ("lower_bounds", lb),
-        ):
+        for name, arr in (("objective", c), ("start", start), ("index", index),
+                          ("value", value), ("row_lower", lo), ("row_upper", hi)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -144,9 +137,9 @@ def load_highs():
 def solve(lp: LinearProgram, deadline: float | None = None) -> LpSolution:
     """Solve a linear program.
 
-    Infeasibility and unboundedness are reported through the solution status,
-    never raised. Any other stop without a verdict raises
-    :class:`SolverFailureError`.
+    Optimality and infeasibility are reported through the solution status,
+    never raised. Any other stop without one of them, unboundedness
+    included, raises :class:`SolverFailureError`.
     ``deadline``, a ``time.perf_counter()`` value, bounds the call: the time
     left when the model is loaded becomes the solver's time limit, and
     passing it raises ``TimeoutError``.
@@ -160,7 +153,7 @@ def solve(lp: LinearProgram, deadline: float | None = None) -> LpSolution:
     # array: with an empty one the array overload rejects the model
     status = highs.passModel(
         n, lp.num_constraints, lp.value.size, core.MatrixFormat.kColwise,
-        core.ObjSense.kMinimize, 0.0, lp.objective, lp.lower_bounds,
+        core.ObjSense.kMinimize, 0.0, lp.objective, np.zeros(n),
         np.full(n, np.inf), lp.row_lower, lp.row_upper, lp.start, lp.index,
         lp.value, np.zeros(n, dtype=np.int32),
     )
@@ -180,8 +173,6 @@ def solve(lp: LinearProgram, deadline: float | None = None) -> LpSolution:
         return LpSolution(LpStatus.OPTIMAL, values, float(lp.objective @ values))
     if model_status == states.kInfeasible:
         return LpSolution(LpStatus.INFEASIBLE)
-    if model_status == states.kUnbounded:
-        return LpSolution(LpStatus.UNBOUNDED)
     if model_status == states.kTimeLimit:
         raise TimeoutError("HiGHS reached its time limit")
     reason = highs.modelStatusToString(model_status)

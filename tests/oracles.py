@@ -189,7 +189,6 @@ def reference_ccce_program(game: FiniteGame, q, sys_cost) -> LinearProgram:
         value=value,
         row_lower=np.append(np.full(num_incentive, -np.inf), 1.0),
         row_upper=np.append(np.zeros(num_incentive), 1.0),
-        lower_bounds=np.zeros(game.num_joint),
     )
 
 
@@ -217,8 +216,7 @@ def z_space_program(program: LinearProgram, num_joint: int) -> LinearProgram:
     _, index = np.nonzero(columns)
     start = np.concatenate([[0], np.cumsum(np.count_nonzero(columns, axis=1))])
     return LinearProgram(program.objective[:num_joint], start, index, columns[columns != 0.0],
-                         program.row_lower[kept], program.row_upper[kept],
-                         program.lower_bounds[:num_joint])
+                         program.row_lower[kept], program.row_upper[kept])
 
 
 def solve_reduced_rank_lp(game: FiniteGame, flats, sys_cost) -> EquilibriumResult:
@@ -240,9 +238,9 @@ def solve_reduced_rank_lp(game: FiniteGame, flats, sys_cost) -> EquilibriumResul
     return EquilibriumResult(LpStatus.OPTIMAL, induced, float(solution.objective_value))
 
 
-def lp_from_rows(objective, ineq=(), eq=(), lower_bounds=None) -> LinearProgram:
+def lp_from_rows(objective, ineq=(), eq=()) -> LinearProgram:
     """A program from dense ``(row, rhs)`` pairs: ``row @ v <= rhs`` for
-    ``ineq``, ``row @ v == rhs`` for ``eq``; lower bounds default to zero."""
+    ``ineq``, ``row @ v == rhs`` for ``eq``."""
     c = np.asarray(objective, dtype=float).reshape(-1)
     n = c.size
     ineq = list(ineq)
@@ -258,8 +256,7 @@ def lp_from_rows(objective, ineq=(), eq=(), lower_bounds=None) -> LinearProgram:
     columns = rows.T
     _, index = np.nonzero(columns)  # column-major: by column, then row
     start = np.concatenate([[0], np.cumsum(np.count_nonzero(columns, axis=1))])
-    lb = np.zeros(n) if lower_bounds is None else lower_bounds
-    return LinearProgram(c, start, index, columns[columns != 0.0], lo, rhs, lb)
+    return LinearProgram(c, start, index, columns[columns != 0.0], lo, rhs)
 
 
 def lp_with_known_optimum(rng: np.random.Generator, num_vars: int, num_rows: int):

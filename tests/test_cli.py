@@ -102,6 +102,39 @@ def test_run_wrong_type_config_exits_2_before_writing(tmp_path, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("run", {"uncertainty": 1.0}),
+    ("run", {"uncertainty": {"sigma": 1.0, "sigmaa": 2.0}}),
+    ("run", [1, 2]),
+    ("run", {"out": 5}),
+    ("check", [1, 2]),
+    ("enumerate-pne", [1, 2]),
+])
+def test_malformed_documents_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys,
+                                                      command, doc):
+    monkeypatch.chdir(tmp_path)  # a default or mistyped out path would land here
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "run":
+        argv = ["run", "--config", str(path), "--methods", "fcfs", "--trials", "1",
+                "--flights", "6"]
+    else:
+        argv = [command, "--game-file", str(path), "--alpha", "0.9", "--sigma", "1"]
+    assert main(argv) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_run_out_flag_beats_config_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"methods": ["fcfs"], "num_trials": 1, "flight_counts": [6],
+                               "out": "from-file.csv"}))
+    assert main(["run", "--config", str(cfg), "--out", "from-flag.csv"]) == 0
+    assert (tmp_path / "from-flag.csv").exists()
+    assert not (tmp_path / "from-file.csv").exists()
+
+
 def test_run_missing_config_exits_1(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
 

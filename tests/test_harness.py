@@ -208,7 +208,7 @@ def test_load_highs_loads_only_the_extension_module():
         "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
         "       if m in sys.modules] == [])\n"
         "sol = solve(LinearProgram([1.0, 2.0], [0, 1, 2], [0, 0], [-1.0, -1.0],\n"
-        "                          [-float('inf')], [-1.0], [0.0, 0.0]))\n"
+        "                          [-float('inf')], [-1.0]))\n"
         "print(sol.status.value, sol.objective_value)\n"
         "from scipy.optimize import linprog\n"
         "from scipy.optimize._highspy import _core\n"
@@ -563,6 +563,23 @@ def test_run_experiment_builds_one_game_per_trial(tmp_path, monkeypatch):
     result = run_experiment(config)
     assert len(result.records) == 2 * 3 * len(METHODS)
     assert calls == [6] * 3 + [7] * 3
+
+
+@pytest.mark.parametrize("methods", [("rr-ccce",), ("rr-nominal", "rr-ccce")])
+def test_rr_line_minima_are_computed_before_the_timer(tmp_path, monkeypatch, methods):
+    # every RR row times its own enumeration only, whichever RR method runs first
+    import cceq.harness as hmod
+    calls = []
+
+    def checked(game, q, *args, **kwargs):
+        calls.append("alternative_minima" in vars(game))
+        return enumerate_cc_pne(game, q, *args, **kwargs)
+
+    monkeypatch.setattr(hmod, "enumerate_cc_pne", checked)
+    config = base_config(num_trials=2, flight_counts=(6, 7), methods=methods,
+                         out_path=str(tmp_path / "results.csv"))
+    run_experiment(config)
+    assert calls == [True] * (2 * 2 * len(methods))
 
 
 @pytest.fixture
