@@ -37,7 +37,8 @@ from .game import (
     FiniteGame,
     JointDistribution,
     check_joint_space,
-    incentive_gains,
+    flat_incentive_gains,
+    gain_layout,
     unflatten,
 )
 from .lp import LinearProgram, LpStatus, SolverFailureError
@@ -237,10 +238,14 @@ def ccce_program(game: FiniteGame, q, sys_cost) -> LinearProgram:
     then the key marginals w, which it does not; rows and columns are laid
     out by :func:`assemble_ce_constraints`. Raises MemoryError, before
     anything is allocated, when the program is not expected to fit in the
-    memory available.
+    memory available, also after this thread's HiGHS instance, with the
+    buffers it keeps from earlier solves, is released.
     """
     nonzeros = _selection_nonzeros(game)
     needed, available = nonzeros * BYTES_PER_NONZERO, _available_memory_bytes()
+    if needed > available:
+        lpmod.release_solver()
+        available = _available_memory_bytes()
     if needed > available:
         raise MemoryError(f"selection program with {nonzeros} nonzeros needs about "
                           f"{needed / 2**20:.0f} MB; {available / 2**20:.0f} MB available")
@@ -309,13 +314,12 @@ def check_ccce_feasibility(game: FiniteGame, z: JointDistribution, q) -> tuple[b
     to. Zero-marginal constraints are vacuous and excluded from the maximum.
     """
     q = _tightenings(game, q)
-    worst = -math.inf
-    for i, (gains, marginals) in enumerate(incentive_gains(game, z)):
-        positive = marginals > 0.0
-        margins = gains / np.where(positive, marginals, 1.0)[:, None] + q[i]
-        margins[~positive, :] = -math.inf
-        np.fill_diagonal(margins, -math.inf)
-        worst = max(worst, float(margins.max()))
+    gains, marginals = flat_incentive_gains(game, z)
+    layout = gain_layout(game.action_counts)
+    marginal = marginals[layout.pair_rows]
+    live = (marginal > 0.0) & layout.off_diagonal
+    margins = gains / np.where(live, marginal, 1.0) + q[layout.pair_agents]
+    worst = float(margins.max(initial=-math.inf, where=live))
     return worst <= FEASIBILITY_TOL, worst
 
 

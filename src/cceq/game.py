@@ -14,21 +14,25 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BudgetExceededError",
     "FiniteGame",
+    "GainLayout",
     "JOINT_SPACE_CAP",
     "JointDistribution",
     "MASS_TOL",
     "check_joint_space",
+    "flat_incentive_gains",
     "flat_index",
     "game_from_dict",
     "game_to_dict",
+    "gain_layout",
     "incentive_gains",
     "load_game",
     "save_game",
@@ -296,34 +300,82 @@ class JointDistribution:
         return mass
 
 
-def incentive_gains(game: FiniteGame, z: JointDistribution):
-    """Every agent's unnormalized deviation gains under z, and its recommendation marginals.
+class GainLayout(NamedTuple):
+    """Where every agent's deviation gains sit in one flat array: the pair
+    (agent i, rec, alt) at ``starts[i] + rec * m_i + alt``, agent by agent.
+    A row, agent i's action a, is ``offsets[i] + a`` as in
+    :class:`FiniteGame`; a column (agent i, alt) has the same numbering."""
 
-    Returns one ``(gains, marginals)`` pair per agent. For agent i,
-    ``gains[rec, alt]`` is the sum over the other agents' actions x of
+    starts: np.ndarray  # per agent, its first pair; then the pair count
+    column_agents: np.ndarray  # per column (agent i, alt): i
+    column_alts: np.ndarray  # per column (agent i, alt): alt
+    pair_rows: np.ndarray  # per pair: its recommendation's row
+    pair_agents: np.ndarray  # per pair: its agent
+    off_diagonal: np.ndarray  # per pair: alt != rec
+
+
+@lru_cache(maxsize=256)
+def gain_layout(action_counts: tuple[int, ...]) -> GainLayout:
+    """The :class:`GainLayout` of games with these action counts, built once."""
+    counts = np.array(action_counts)
+    sizes = counts * counts
+    starts = np.append(0, np.cumsum(sizes))
+    columns = np.repeat(np.arange(len(counts)), counts)
+    offsets = np.append(0, np.cumsum(counts))[:-1]
+    pair_agents = np.repeat(np.arange(len(counts)), sizes)
+    place = np.arange(starts[-1]) - starts[pair_agents]  # rec * m_i + alt
+    width = counts[pair_agents]
+    layout = GainLayout(starts, columns, np.arange(len(columns)) - offsets[columns],
+                        offsets[pair_agents] + place // width, pair_agents,
+                        place // width != place % width)
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def flat_incentive_gains(game: FiniteGame, z: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Every agent's unnormalized deviation gains under z, in one flat array
+    laid out by :func:`gain_layout`, and every row's recommendation marginal.
+
+    The pair (i, rec, alt) holds the sum over the other agents' actions x of
     z(rec, x) * (J_i(rec, x) - J_i(alt, x)), computed over the support of z
     only, so a point mass costs O(sum_i m_i); a positive entry means
     switching from ``rec`` to ``alt`` pays off in expectation. It is affine
-    in z, the form the equilibrium LP rows take; dividing row ``rec`` by
-    ``marginals[rec]`` gives the expected gain conditioned on the
-    recommendation. A zero-marginal row is all zeros (its constraints are
-    vacuous) and the diagonal is zero. One call covers every agent and reads
-    the support of z once.
+    in z, the form the equilibrium LP rows take; dividing it by the marginal
+    of rec's row gives the expected gain conditioned on the recommendation.
+    A zero-marginal row's pairs are zeros (its constraints are vacuous), and
+    so is every pair with alt == rec. Both arrays are one ``bincount`` each
+    over the support of z, which is read once.
     """
     if z.action_counts != game.action_counts:
         raise ValueError("distribution does not match the game's action space")
+    layout = gain_layout(game.action_counts)
+    counts = np.array(game.action_counts)[:, None]
     weight = z.weights
     coords = game.coordinates(z.support)
     entries = game.line_entries(coords)
-    out = []
-    for i, m in enumerate(game.action_counts):
-        own = coords[i]
-        # swapped[k, alt]: agent i's cost at support point k with its own action set to alt
-        swapped = game.flat_lines[(entries[i] - own)[:, None] + np.arange(m)]
-        gains = np.zeros((m, m))
-        np.add.at(gains, own, weight[:, None] * (game.flat_lines[entries[i]][:, None] - swapped))
-        out.append((gains, np.bincount(own, weights=weight, minlength=m)))
-    return out
+    agents, alts = layout.column_agents, layout.column_alts
+    # per support point k and column (i, alt): agent i's cost at k with its
+    # own action set to alt, and the pair (i, own action at k, alt)
+    swapped = game.flat_lines[(entries - coords)[agents].T + alts]
+    bins = (layout.starts[:-1, None] + coords * counts)[agents].T + alts
+    own = game.flat_lines[entries][agents].T
+    gains = np.bincount(bins.ravel(), (weight[:, None] * (own - swapped)).ravel(),
+                        layout.starts[-1])
+    rows = coords + game.offsets[:, None]
+    marginals = np.bincount(rows.ravel(), np.tile(weight, len(counts)), len(agents))
+    return gains, marginals
+
+
+def incentive_gains(game: FiniteGame, z: JointDistribution):
+    """:func:`flat_incentive_gains` split by agent: one ``(gains,
+    marginals)`` pair per agent, ``gains[rec, alt]`` of shape (m_i, m_i) and
+    ``marginals[rec]``, views of the flat arrays."""
+    gains, marginals = flat_incentive_gains(game, z)
+    starts = gain_layout(game.action_counts).starts
+    return [(gains[start:start + m * m].reshape(m, m), marginals[offset:offset + m])
+            for start, offset, m in zip(starts.tolist(), game.offsets.tolist(),
+                                        game.action_counts)]
 
 
 # --- JSON serialization -----------------------------------------------------

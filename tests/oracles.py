@@ -31,6 +31,7 @@ from cceq.game import (
     FiniteGame,
     JointDistribution,
     check_joint_space,
+    flat_index,
     unflatten,
 )
 from cceq.lp import LinearProgram, LpStatus
@@ -316,6 +317,24 @@ def dense_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
     jmat = np.moveaxis(game.costs[agent].reshape(game.action_counts), agent, 0).reshape(m, -1)
     pairwise = zmat @ jmat.T
     return np.diag(pairwise)[:, None] - pairwise, zmat.sum(axis=1)
+
+
+def loop_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
+    """``incentive_gains`` for one agent as a loop over the support of z, in
+    ascending order: at each point x, z(x) * (J_i(x) - J_i(alt, x_-i)) is
+    added to row x_i, the same products summed in the same order as the
+    package's kernel, so the two agree bit for bit."""
+    m = game.action_counts[agent]
+    gains, marginals = np.zeros((m, m)), np.zeros(m)
+    for flat, weight in zip(z.support.tolist(), z.weights.tolist()):
+        coords = list(unflatten(flat, game.action_counts))
+        own = coords[agent]
+        line = np.array([game.costs[agent, flat_index(coords[:agent] + [alt] + coords[agent + 1:],
+                                                      game.action_counts)]
+                         for alt in range(m)])
+        gains[own] += weight * (line[own] - line)
+        marginals[own] += weight
+    return gains, marginals
 
 
 def grid_distributions(num_joint: int, denom: int = 20, every: int = 1):

@@ -9,13 +9,15 @@ from cceq.game import (
     JointDistribution,
     flat_index,
     game_from_dict,
+    flat_incentive_gains,
     game_to_dict,
+    gain_layout,
     incentive_gains,
     load_game,
     save_game,
     unflatten,
 )
-from oracles import dense_incentive_gains, random_game
+from oracles import dense_incentive_gains, loop_incentive_gains, random_game
 
 
 def test_flat_index_examples():
@@ -102,6 +104,30 @@ def test_incentive_gains_matches_dense_oracle():
                 want = dense_incentive_gains(game, z, agent)
                 assert np.allclose(gains, want[0], rtol=1e-12, atol=1e-12)
                 assert np.allclose(marginals, want[1], rtol=1e-12, atol=1e-12)
+
+
+def test_incentive_gains_equal_a_loop_over_the_support():
+    # the flat kernel sums the loop's products in the loop's order: equal bit
+    # for bit, and laid out where gain_layout places each (agent, rec, alt)
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        game = random_game(rng, max_agents=4, max_actions=5)
+        counts = game.action_counts
+        support = np.sort(rng.choice(game.num_joint, size=int(rng.integers(1, game.num_joint + 1)),
+                                     replace=False))
+        z = JointDistribution(support, rng.dirichlet(np.ones(support.size)), counts)
+        flat_gains, flat_marginals = flat_incentive_gains(game, z)
+        layout = gain_layout(counts)
+        assert flat_gains.size == layout.starts[-1] == sum(m * m for m in counts)
+        for agent, (gains, marginals) in enumerate(incentive_gains(game, z)):
+            want_gains, want_marginals = loop_incentive_gains(game, z, agent)
+            assert np.array_equal(gains, want_gains)
+            assert np.array_equal(marginals, want_marginals)
+            pairs = layout.pair_agents == agent
+            assert np.array_equal(flat_gains[pairs], want_gains.ravel())
+            assert np.array_equal(flat_marginals[layout.pair_rows[pairs]],
+                                  np.repeat(want_marginals, counts[agent]))
+            assert np.array_equal(layout.off_diagonal[pairs], ~np.eye(counts[agent], dtype=bool).ravel())
 
 
 def test_deviation_cost_antisymmetry():

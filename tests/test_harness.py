@@ -309,6 +309,25 @@ def test_program_too_large_for_memory_is_refused_before_assembly(monkeypatch):
         solve_full_ccce(game, np.zeros(game.num_agents), sys_cost)
 
 
+def test_memory_guard_releases_the_solver_before_refusing(monkeypatch):
+    import cceq.equilibrium as eqmod
+    import cceq.lp as lpmod
+
+    # memory reads short while this thread holds a solver, ample once it is released
+    monkeypatch.setattr(eqmod, "_available_memory_bytes",
+                        lambda: 1024.0 if "highs" in vars(lpmod._local) else float("inf"))
+    game, sys_cost = build_game(generate_instance(6, 5, seed=0))
+    q = np.zeros(game.num_agents)
+    held = lpmod._thread_solver()
+    result = solve_full_ccce(game, q, sys_cost)
+    assert result.status == "optimal"
+    assert lpmod._thread_solver() is not held  # released, then created anew
+    # without a solver to release, the guard refuses
+    monkeypatch.setattr(eqmod, "_available_memory_bytes", lambda: 1024.0)
+    with pytest.raises(MemoryError, match="nonzeros needs about"):
+        solve_full_ccce(game, q, sys_cost)
+
+
 def test_available_memory_respects_the_address_space_limit():
     out = run_fresh(
         "import resource\n"

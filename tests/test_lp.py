@@ -1,16 +1,22 @@
 import importlib.util
+import math
 import sys
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+import cceq.lp as lpmod
 from cceq.equilibrium import ccce_program
 from cceq.lp import (
     LinearProgram,
     LpStatus,
     SolverFailureError,
     load_highs,
+    release_solver,
     solve,
 )
 from oracles import (
@@ -159,22 +165,116 @@ def test_beale_degenerate_example_terminates():
     assert sol.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
 
 
-def test_iteration_cap_raises(monkeypatch):
-    # a stop without a verdict, here at a simplex iteration limit of one
-    core = load_highs()
-    highs_class = core._Highs
-
-    def capped():
-        highs = highs_class()
-        highs.setOptionValue("simplex_iteration_limit", 1)
-        return highs
-
-    monkeypatch.setattr(core, "_Highs", capped)
+def test_iteration_cap_raises():
+    # a stop without a verdict, here at a simplex iteration limit of one set
+    # on the thread's solver; released after, so later solves get a new one
+    # with default options
+    lpmod._thread_solver().setOptionValue("simplex_iteration_limit", 1)
     lp = lp_from_rows(
         [-1.0, -1.0], ineq=[([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([1.0, 1.0], 1.5)]
     )
-    with pytest.raises(SolverFailureError, match="limit"):
-        solve(lp)
+    try:
+        with pytest.raises(SolverFailureError, match="limit"):
+            solve(lp)
+    finally:
+        release_solver()
+    assert solve(lp).status == LpStatus.OPTIMAL
+
+
+def selection_programs():
+    """Selection programs of a few airport games, of growing and shrinking size."""
+    from cceq.uncertainty import tightenings
+    from cceq.vq import build_game, generate_instance
+
+    programs = []
+    for seed, flights in ((100, 7), (101, 9), (102, 6), (103, 8)):
+        game, sys_cost = build_game(generate_instance(flights, 5, seed=seed))
+        programs.append(ccce_program(game, tightenings(1.0, 0.9, 5), sys_cost))
+    return programs
+
+
+def solve_all(programs):
+    return [solve(lp).values for lp in programs]
+
+
+def assert_same_values(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_reused_solver_gives_the_values_of_a_new_one():
+    programs = selection_programs()
+    release_solver()
+    fresh = []
+    for lp in programs:
+        fresh.append(solve(lp).values)
+        release_solver()
+    assert_same_values(solve_all(programs), fresh)
+    # and in reverse order, on a solver that has seen every program
+    assert_same_values(solve_all(programs[::-1]), fresh[::-1])
+
+
+def test_reuse_after_a_timeout_leaks_no_state(monkeypatch):
+    programs = selection_programs()
+    first = solve_all(programs)
+    # before run: the deadline has passed when the model is loaded
+    with pytest.raises(TimeoutError, match="before the solver ran"):
+        solve(programs[1], deadline=time.perf_counter() - 1.0)
+    assert_same_values(solve_all(programs), first)
+    # inside run: the clock the module reads leaves HiGHS a nanosecond
+    with monkeypatch.context() as patch:
+        patch.setattr(lpmod, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        with pytest.raises(TimeoutError, match="time limit"):
+            solve(programs[1], deadline=1e-9)
+    assert_same_values(solve_all(programs), first)
+
+
+def test_reuse_after_a_solver_failure_leaks_no_state():
+    programs = selection_programs()
+    first = solve_all(programs)
+    with pytest.raises(SolverFailureError, match="nbounded"):
+        solve(lp_from_rows([-1.0, 0.0], ineq=[([0.0, 1.0], 1.0)]))
+    assert_same_values(solve_all(programs), first)
+
+
+def test_solve_without_deadline_resets_the_time_limit():
+    lp = lp_from_rows([1.0, 1.0], eq=[([1.0, 1.0], 1.0)])
+    solve(lp, deadline=time.perf_counter() + 60.0)
+    highs = lpmod._thread_solver()
+    assert 0.0 < highs.getOptionValue("time_limit")[1] <= 60.0
+    solve(lp)
+    assert highs.getOptionValue("time_limit")[1] == math.inf
+    assert highs.getNumCol() == 0  # the model is cleared after every solve
+
+
+def test_threads_get_distinct_solvers():
+    # more threads than cores, switching often, each solving every program a
+    # few times on its own solver: the values stay those of a serial solve
+    programs = selection_programs()
+    want = solve_all(programs)
+    solvers, results = {}, {}
+
+    def work(k):
+        solvers[k] = lpmod._thread_solver()
+        results[k] = [solve_all(programs) for _ in range(3)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len({id(solver) for solver in solvers.values()}) == 4
+    assert all(solver is not lpmod._thread_solver() for solver in solvers.values())
+    for runs in results.values():
+        for got in runs:
+            assert_same_values(got, want)
 
 
 def test_solve_is_deterministic():

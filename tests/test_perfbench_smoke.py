@@ -1,6 +1,6 @@
-"""Smoke tests of the benchmark: one short traced run of `grid` and of
-`rr-large` through perfbench/run.py, so that a change which breaks the
-benchmark's hooks or checks fails here first."""
+"""Smoke tests of the benchmark: one short traced run of each workload
+through perfbench/run.py, so that a change which breaks the benchmark's
+hooks or checks fails here first."""
 
 import json
 import subprocess
@@ -39,3 +39,11 @@ def test_rr_large_trace_run_is_correct():
     report = traced_run("rr-large")
     # 3 flight counts x 40 trials, each lowered once: lowering stays attributed
     assert report["metrics"]["vq.build_game.calls"]["value"] == 120
+
+
+def test_full_lp_trace_run_is_correct():
+    # the benchmark's checks solve every full-ccce row's program again with
+    # scipy's reference LP, here at 9..11 flights
+    report = traced_run("full-lp")
+    # 3 flight counts x 14 trials, one selection LP each
+    assert report["metrics"]["lp.solve.calls"]["value"] == 42
