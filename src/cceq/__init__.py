@@ -12,7 +12,6 @@ from .game import (
     FiniteGame,
     JointDistribution,
     flat_index,
-    incentive_gains,
     load_game,
     save_game,
     unflatten,

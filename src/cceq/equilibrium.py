@@ -99,11 +99,11 @@ def assemble_ce_constraints(game: FiniteGame, q) -> tuple[np.ndarray, np.ndarray
 
         sum_k (L_i[rec, k] - L_i[alt, k] + q_i) * w_(i, k, rec) <= 0,
 
-    with w substituted ``incentive_gains(game, z)[i][0][rec, alt] + q_i *
-    marginal(rec) <= 0``: the deterministic equivalent of the conditional
-    constraint whenever the recommendation's marginal is positive, and
-    vacuous (0 <= 0) when it is zero. ``q`` holds one tightening q_i per agent
-    (zeros for the nominal program).
+    with w substituted ``gains(i, rec, alt) + q_i * marginal(rec) <= 0``,
+    both read off :func:`cceq.game.flat_incentive_gains`: the deterministic
+    equivalent of the conditional constraint whenever the recommendation's
+    marginal is positive, and vacuous (0 <= 0) when it is zero. ``q`` holds
+    one tightening q_i per agent (zeros for the nominal program).
 
     Rows are the incentive rows, ordered by agent, then rec, then alt, and
     numbering R = sum_i m_i * (m_i - 1); then row R, the probability simplex;

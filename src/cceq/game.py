@@ -33,8 +33,8 @@ __all__ = [
     "game_from_dict",
     "game_to_dict",
     "gain_layout",
-    "incentive_gains",
     "load_game",
+    "point_gains",
     "save_game",
     "unflatten",
 ]
@@ -93,7 +93,8 @@ class FiniteGame:
 
     ``lines[i][a, k]`` is agent i's cost for its action a when the others
     play a joint action with key k. Row ``offsets[i] + a`` stands for agent
-    i's action a, and agent i's key at the joint action x is
+    i's action a (``row_agents`` and ``row_actions`` hold each row's i and
+    a), and agent i's key at the joint action x is
     ``sum_j key_weights[i, offsets[j] + x_j]`` (zero over agent i's own
     rows). Column k of ``lines[i]`` is the line of agent i's own actions
     against one play of the others, so every incentive an agent has is read
@@ -164,7 +165,7 @@ class FiniteGame:
         self.lines = tuple(self.flat_lines[start:start + m * width].reshape(width, m).T
                            for start, m, width in zip(starts.tolist(), counts, widths))
         weights = np.asarray(key_weights, dtype=np.intp)
-        row_agents = np.repeat(np.arange(n), np.array(counts))
+        row_agents = self.row_agents = np.repeat(np.arange(n), np.array(counts))
         own = row_agents == np.arange(n)[:, None]
         if (weights.shape != (n, len(row_agents)) or weights.min() < 0 or weights[own].any()
                 or (np.maximum.reduceat(weights, self.offsets, axis=1).sum(axis=1)
@@ -175,7 +176,7 @@ class FiniteGame:
         # sum_j point_weights[:, offsets[j] + x_j] holds, at the joint action
         # x, each agent's entry in flat_lines (its first slot's start, plus
         # counts[i] entries per key, plus x_i) and, last, x's flat index
-        actions = np.arange(len(row_agents)) - self.offsets[row_agents]
+        actions = self.row_actions = np.arange(len(row_agents)) - self.offsets[row_agents]
         self.point_weights = np.vstack((weights * np.array(counts)[:, None],
                                         self.strides[row_agents] * actions))
         self.point_weights[:-1][own] = starts[row_agents] + actions
@@ -190,17 +191,16 @@ class FiniteGame:
         return len(self.action_counts)
 
     def coordinates(self, flats) -> np.ndarray:
-        """Agents' actions, shape (agents, ...), at the flat joint indices ``flats``."""
-        counts = np.reshape(self.action_counts, (-1,) + (1,) * np.ndim(flats))
-        return np.asarray(flats) // self.strides.reshape(counts.shape) % counts
+        """Agents' actions, shape (agents, points), at the vector of flat
+        joint indices ``flats``."""
+        return np.asarray(flats) // self.strides[:, None] % np.array(self.action_counts)[:, None]
 
     def line_entries(self, coords) -> np.ndarray:
-        """Positions in ``flat_lines`` of each agent's cost, shape (agents, ...),
-        at the joint actions with coordinates ``coords`` (agents first); agent
-        i's whole line through the joint action starts ``coords[i]`` before."""
-        coords = np.asarray(coords)
-        rows = coords + self.offsets.reshape((-1,) + (1,) * (coords.ndim - 1))
-        return self.point_weights[:-1, rows].sum(axis=1)
+        """Positions in ``flat_lines`` of each agent's cost, shape (agents,
+        points), at the joint actions with coordinates ``coords``, shape
+        (agents, points); agent i's whole line through the joint action
+        starts ``coords[i]`` before."""
+        return self.point_weights[:-1, coords + self.offsets[:, None]].sum(axis=1)
 
     def joint_entries(self) -> np.ndarray:
         """Positions in ``flat_lines`` of each agent's cost at every joint
@@ -304,11 +304,9 @@ class GainLayout(NamedTuple):
     """Where every agent's deviation gains sit in one flat array: the pair
     (agent i, rec, alt) at ``starts[i] + rec * m_i + alt``, agent by agent.
     A row, agent i's action a, is ``offsets[i] + a`` as in
-    :class:`FiniteGame`; a column (agent i, alt) has the same numbering."""
+    :class:`FiniteGame`."""
 
     starts: np.ndarray  # per agent, its first pair; then the pair count
-    column_agents: np.ndarray  # per column (agent i, alt): i
-    column_alts: np.ndarray  # per column (agent i, alt): alt
     pair_rows: np.ndarray  # per pair: its recommendation's row
     pair_agents: np.ndarray  # per pair: its agent
     off_diagonal: np.ndarray  # per pair: alt != rec
@@ -320,17 +318,36 @@ def gain_layout(action_counts: tuple[int, ...]) -> GainLayout:
     counts = np.array(action_counts)
     sizes = counts * counts
     starts = np.append(0, np.cumsum(sizes))
-    columns = np.repeat(np.arange(len(counts)), counts)
     offsets = np.append(0, np.cumsum(counts))[:-1]
     pair_agents = np.repeat(np.arange(len(counts)), sizes)
     place = np.arange(starts[-1]) - starts[pair_agents]  # rec * m_i + alt
     width = counts[pair_agents]
-    layout = GainLayout(starts, columns, np.arange(len(columns)) - offsets[columns],
-                        offsets[pair_agents] + place // width, pair_agents,
+    layout = GainLayout(starts, offsets[pair_agents] + place // width, pair_agents,
                         place // width != place % width)
     for arr in layout:
         arr.setflags(write=False)
     return layout
+
+
+def point_gains(game: FiniteGame, z: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Every deviation gain under z, point by point: at support point k and
+    column (agent i, alt), numbered like the rows of :class:`FiniteGame`,
+    z(k) * (J_i(k) - J_i(alt, k_-i)), shape (|support|, sum_i m_i); and the
+    points' coordinates, shape (agents, |support|).
+
+    A positive entry means that switching from its own action at k to alt
+    pays off at k. Summed over the points where agent i plays rec, column
+    (i, alt) is the unnormalized gain of the pair (i, rec, alt). It costs
+    O(|support| * sum_i m_i), so a point mass costs O(sum_i m_i).
+    """
+    if z.action_counts != game.action_counts:
+        raise ValueError("distribution does not match the game's action space")
+    coords = game.coordinates(z.support)
+    entries = game.line_entries(coords)
+    agents = game.row_agents
+    own = game.flat_lines[entries][agents].T
+    swapped = game.flat_lines[(entries - coords)[agents].T + game.row_actions]
+    return z.weights[:, None] * (own - swapped), coords
 
 
 def flat_incentive_gains(game: FiniteGame, z: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -338,44 +355,21 @@ def flat_incentive_gains(game: FiniteGame, z: JointDistribution) -> tuple[np.nda
     laid out by :func:`gain_layout`, and every row's recommendation marginal.
 
     The pair (i, rec, alt) holds the sum over the other agents' actions x of
-    z(rec, x) * (J_i(rec, x) - J_i(alt, x)), computed over the support of z
-    only, so a point mass costs O(sum_i m_i); a positive entry means
-    switching from ``rec`` to ``alt`` pays off in expectation. It is affine
-    in z, the form the equilibrium LP rows take; dividing it by the marginal
-    of rec's row gives the expected gain conditioned on the recommendation.
-    A zero-marginal row's pairs are zeros (its constraints are vacuous), and
-    so is every pair with alt == rec. Both arrays are one ``bincount`` each
-    over the support of z, which is read once.
+    z(rec, x) * (J_i(rec, x) - J_i(alt, x)), :func:`point_gains` summed over
+    the support of z in ascending order; a positive entry means switching
+    from ``rec`` to ``alt`` pays off in expectation. It is affine in z, the
+    form the equilibrium LP rows take; dividing it by the marginal of rec's
+    row gives the expected gain conditioned on the recommendation. A
+    zero-marginal row's pairs are zeros (its constraints are vacuous), and so
+    is every pair with alt == rec. Both arrays are one ``bincount`` each.
     """
-    if z.action_counts != game.action_counts:
-        raise ValueError("distribution does not match the game's action space")
-    layout = gain_layout(game.action_counts)
-    counts = np.array(game.action_counts)[:, None]
-    weight = z.weights
-    coords = game.coordinates(z.support)
-    entries = game.line_entries(coords)
-    agents, alts = layout.column_agents, layout.column_alts
-    # per support point k and column (i, alt): agent i's cost at k with its
-    # own action set to alt, and the pair (i, own action at k, alt)
-    swapped = game.flat_lines[(entries - coords)[agents].T + alts]
-    bins = (layout.starts[:-1, None] + coords * counts)[agents].T + alts
-    own = game.flat_lines[entries][agents].T
-    gains = np.bincount(bins.ravel(), (weight[:, None] * (own - swapped)).ravel(),
-                        layout.starts[-1])
-    rows = coords + game.offsets[:, None]
-    marginals = np.bincount(rows.ravel(), np.tile(weight, len(counts)), len(agents))
-    return gains, marginals
-
-
-def incentive_gains(game: FiniteGame, z: JointDistribution):
-    """:func:`flat_incentive_gains` split by agent: one ``(gains,
-    marginals)`` pair per agent, ``gains[rec, alt]`` of shape (m_i, m_i) and
-    ``marginals[rec]``, views of the flat arrays."""
-    gains, marginals = flat_incentive_gains(game, z)
+    gains, coords = point_gains(game, z)
     starts = gain_layout(game.action_counts).starts
-    return [(gains[start:start + m * m].reshape(m, m), marginals[offset:offset + m])
-            for start, offset, m in zip(starts.tolist(), game.offsets.tolist(),
-                                        game.action_counts)]
+    counts = np.array(game.action_counts)[:, None]
+    bins = (starts[:-1, None] + coords * counts)[game.row_agents].T + game.row_actions
+    rows = coords + game.offsets[:, None]
+    return (np.bincount(bins.ravel(), gains.ravel(), starts[-1]),
+            np.bincount(rows.ravel(), np.tile(z.weights, len(counts)), len(game.row_agents)))
 
 
 # --- JSON serialization -----------------------------------------------------

@@ -43,7 +43,7 @@ from .game import (
     JointDistribution,
     check_joint_space,
     flat_index,
-    incentive_gains,
+    point_gains,
     unflatten,
 )
 from .lp import LpStatus, SolverFailureError, load_highs
@@ -250,39 +250,42 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
     ``etas`` holds one perturbation draw per agent, shared across all of that
     agent's comparisons (the harness draws them from per-agent substreams).
     Each agent computes, for every alternative, the conditional expected
-    deviation gain given its recommended action plus its eta. If the best
-    margin exceeds ``FEASIBILITY_TOL``, the tolerance selection results are
-    certified to, the agent best-responds to it (ties to the lowest action
-    index), otherwise it follows the recommendation. Agents decide
-    simultaneously against z, not against each other's realized switches.
-    The recommendation must be in the support of z.
+    deviation gain given its recommended action plus its eta: the
+    :func:`cceq.game.point_gains` of the support points where it plays its
+    recommendation, summed in ascending order (as
+    :func:`cceq.game.flat_incentive_gains` sums them) and divided by their
+    mass. If the best margin exceeds ``FEASIBILITY_TOL``, the tolerance
+    selection results are certified to, the agent best-responds to it (ties
+    to the lowest action index), otherwise it follows the recommendation.
+    Agents decide simultaneously against z, not against each other's
+    realized switches. The recommendation must be in the support of z;
+    otherwise ValueError is raised.
 
     Returns ``(final_action, deviated)``.
     """
-    rec = tuple(int(c) for c in recommendation)
-    etas = [float(e) for e in etas]
-    if len(etas) != game.num_agents:
-        raise ValueError(f"expected {game.num_agents} etas, got {len(etas)}")
-
-    if z.support.size == 1:  # a point mass: each agent's row is its line through rec
-        weight = z.weights[0]
-        rows = []
-        for i, (m, entry) in enumerate(zip(game.action_counts, game.line_entries(rec).tolist())):
-            costs = game.flat_lines[entry - rec[i]:entry - rec[i] + m]
-            rows.append((weight * (costs[rec[i]] - costs), weight))
-    else:
-        rows = [(gains[rec[i]], marginals[rec[i]])
-                for i, (gains, marginals) in enumerate(incentive_gains(game, z))]
-    final = list(rec)
-    for i, (row, marginal) in enumerate(rows):
-        if marginal > 0.0:  # a zero-marginal row is all zeros: vacuous
-            row = row / marginal
-        margins = row + etas[i]
-        margins[rec[i]] = -np.inf
-        best = int(np.argmax(margins))  # first maximum: lowest-index tie rule
-        if margins[best] > FEASIBILITY_TOL:
-            final[i] = best
-    final_action = tuple(final)
+    rec = tuple(map(int, recommendation))
+    etas = np.asarray(etas, dtype=float)
+    if len(rec) != game.num_agents or len(etas) != game.num_agents:
+        raise ValueError(f"expected {game.num_agents} actions and etas, "
+                         f"got {len(rec)} and {len(etas)}")
+    gains, coords = point_gains(game, z)
+    if rec not in zip(*coords.tolist()):  # the support's joint actions
+        raise ValueError(f"recommendation {rec} is not in the support of z")
+    recs = np.array(rec)
+    agents, actions = game.row_agents, game.row_actions
+    # per column (agent i, alt), its gains at the points where agent i plays
+    # its recommendation, summed by bincount in ascending order as
+    # flat_incentive_gains sums them, so margins match it bit for bit
+    points, columns = np.nonzero((coords.T == recs)[:, agents])
+    marginals = np.bincount(columns, z.weights[points], len(agents))
+    margins = (np.bincount(columns, gains[points, columns], len(agents)) / marginals
+               + etas[agents])
+    margins[game.offsets + recs] = -np.inf
+    best = np.maximum.reduceat(margins, game.offsets)
+    # the first maximum of each agent's margins: the lowest-index tie rule
+    first = np.minimum.reduceat(np.where(margins == best[agents], actions, len(actions)),
+                                game.offsets)
+    final_action = tuple(np.where(best > FEASIBILITY_TOL, first, recs).tolist())
     return final_action, final_action != rec
 
 

@@ -13,7 +13,8 @@ tables, the LP form of the reduced-rank program, and the airport scenario's
 cost model evaluated one joint action and one flight at a time (the
 reference for ``build_game``).
 ``build_game``'s earlier lowering on the whole action grid, flight by
-flight, is kept as its bit-exact reference.
+flight, is kept as its bit-exact reference. ``incentive_gains`` is no
+oracle: it splits the package's flat gains by agent for tests to index.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from cceq.game import (
     FiniteGame,
     JointDistribution,
     check_joint_space,
+    flat_incentive_gains,
     flat_index,
+    gain_layout,
     unflatten,
 )
 from cceq.lp import LinearProgram, LpStatus
@@ -306,6 +309,17 @@ def cc_pne_flats(game: FiniteGame, q) -> np.ndarray:
             passes[alt] = True
             ok &= np.moveaxis(passes, 0, i)
     return np.flatnonzero(ok)
+
+
+def incentive_gains(game: FiniteGame, z: JointDistribution):
+    """``flat_incentive_gains`` split by agent: one ``(gains, marginals)``
+    pair per agent, ``gains[rec, alt]`` of shape (m_i, m_i) and
+    ``marginals[rec]``, views of the flat arrays."""
+    gains, marginals = flat_incentive_gains(game, z)
+    starts = gain_layout(game.action_counts).starts
+    return [(gains[start:start + m * m].reshape(m, m), marginals[offset:offset + m])
+            for start, offset, m in zip(starts.tolist(), game.offsets.tolist(),
+                                        game.action_counts)]
 
 
 def dense_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):

@@ -213,7 +213,7 @@ def test_criterion_09_determinism(tmp_path):
             num_trials=4, flight_counts=(6, 7), sigma=1.5, alpha=0.9,
             num_airlines=3, master_seed=99, out_path=str(tmp_path / name))
         run_experiment(config)
-        outputs.append(list(csv.reader((tmp_path / name).open())))
+        outputs.append(list(csv.reader((tmp_path / name).read_text().splitlines())))
     first, second = outputs
     assert len(first) == len(second) == 1 + 4 * 2 * 4
     solve_col = CSV_COLUMNS.index("solve_seconds")

@@ -31,7 +31,7 @@ def test_run_subcommand(tmp_path, capsys):
         "--seed", "5", "--airlines", "3", "--out", str(out),
     ])
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert len(rows) == 1 + 2 * 2 * 2
     printed = capsys.readouterr().out
     assert "rr-nominal" in printed and "wrote" in printed
@@ -217,7 +217,7 @@ def test_run_exit_zero_despite_per_trial_failures(tmp_path, capsys):
                "--airlines", "3", "--seed", "0", "--sigma", "0",
                "--time-budget", "1e-9", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert all(row[5] == "timeout" for row in rows[1:])
 
 

@@ -18,7 +18,6 @@ from cceq.game import (
     BudgetExceededError,
     FiniteGame,
     JointDistribution,
-    incentive_gains,
 )
 from cceq.lp import LpSolution, LpStatus, SolverFailureError
 from cceq.uncertainty import substream, tightenings
@@ -29,6 +28,7 @@ from oracles import (
     enumerate_lp_vertices,
     eq_feasible,
     eq_margins,
+    incentive_gains,
     profiles,
     random_game,
     reference_ccce_program,

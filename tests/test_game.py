@@ -12,12 +12,11 @@ from cceq.game import (
     flat_incentive_gains,
     game_to_dict,
     gain_layout,
-    incentive_gains,
     load_game,
     save_game,
     unflatten,
 )
-from oracles import dense_incentive_gains, loop_incentive_gains, random_game
+from oracles import dense_incentive_gains, incentive_gains, loop_incentive_gains, random_game
 
 
 def test_flat_index_examples():

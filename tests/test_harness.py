@@ -17,7 +17,7 @@ from cceq.equilibrium import (
     sample_recommendation,
     solve_full_ccce,
 )
-from cceq.game import JointDistribution, flat_index, incentive_gains, unflatten
+from cceq.game import FiniteGame, JointDistribution, flat_index, unflatten
 from cceq.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -32,10 +32,10 @@ from cceq.harness import (
     summarize,
     summarize_paired,
 )
-from cceq.lp import SolverFailureError
+from cceq.lp import LpStatus, SolverFailureError
 from cceq.uncertainty import substream
 from cceq.vq import SystemCost, build_game, generate_instance
-from oracles import random_game
+from oracles import dense_incentive_gains, incentive_gains, random_game
 
 
 def test_simulate_deviation_forced_eta(intersection_game, half_device):
@@ -64,32 +64,125 @@ def test_simulate_deviation_argmax_tie_rule(intersection_game):
     assert deviated and final == (1, 1)  # both agents best-respond simultaneously
 
 
-def test_point_mass_deviation_matches_the_gain_kernel():
-    # simulate_deviation reads a point mass's rows off the agents' lines; on
-    # airport games they must give the decision that incentive_gains' rows give
+def decide(split, rec, etas):
+    """The decision simulate_deviation documents, agent by agent, from one
+    ``(gains, marginals)`` pair per agent."""
+    final = list(rec)
+    for i, (gains, marginals) in enumerate(split):
+        margins = gains[rec[i]] / marginals[rec[i]] + etas[i]
+        margins[rec[i]] = -np.inf
+        best = int(np.argmax(margins))  # first maximum
+        if margins[best] > FEASIBILITY_TOL:
+            final[i] = best
+    return tuple(final), tuple(final) != tuple(rec)
+
+
+def dense_deviation(game, z, rec, etas):
+    return decide([dense_incentive_gains(game, z, i) for i in range(game.num_agents)], rec, etas)
+
+
+def test_simulate_deviation_matches_the_dense_oracle():
+    # random games, point masses and multi-support z. Small integer costs and
+    # weights in sixteenths keep every sum exact, so margins tie often and
+    # equal the oracle's bit for bit, FEASIBILITY_TOL itself included
     rng = np.random.default_rng(2024)
+    edge = [0.0, FEASIBILITY_TOL, np.nextafter(FEASIBILITY_TOL, np.inf), -1.0, 1.0, 2.5]
     outcomes = []
-    for num_flights in range(6, 15):
-        for trial in range(5):
-            seed = np.random.SeedSequence((9, trial, num_flights))
-            instance = generate_instance(num_flights, 5, seed=seed)
-            game, _ = build_game(instance)
-            pne = enumerate_cc_pne(game, np.zeros(game.num_agents))
-            points = np.concatenate((rng.integers(game.num_joint, size=20), pne[:5]))
-            for flat in points.tolist():
-                rec = unflatten(flat, game.action_counts)
-                z = JointDistribution([flat], [1.0], game.action_counts)
-                etas = rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0, 100.0])), game.num_agents)
-                final = list(rec)
-                for i, (gains, marginals) in enumerate(incentive_gains(game, z)):
-                    margins = gains[rec[i]] / marginals[rec[i]] + etas[i]
-                    margins[rec[i]] = -np.inf
-                    if margins.max() > FEASIBILITY_TOL:
-                        final[i] = int(np.argmax(margins))
-                expected = (tuple(final), tuple(final) != rec)
-                assert simulate_deviation(game, z, rec, etas) == expected, (num_flights, trial, rec)
-                outcomes.append(expected[1])
-    assert len(outcomes) >= 800 and 0 < sum(outcomes) < len(outcomes)
+    for case in range(150):
+        game = random_game(rng, max_agents=4, max_actions=4)
+        counts = game.action_counts
+        exact = case % 2 == 0
+        if exact:
+            game = FiniteGame(counts, rng.integers(0, 4, size=(len(counts), game.num_joint)))
+        size = 1 if case % 3 == 0 else int(rng.integers(2, min(game.num_joint, 16) + 1))
+        support = np.sort(rng.choice(game.num_joint, size=size, replace=False))
+        weights = (rng.multinomial(16 - size, np.ones(size) / size) + 1) / 16 if exact \
+            else rng.dirichlet(np.ones(size))
+        z = JointDistribution(support, weights, counts)
+        for flat in support.tolist():
+            rec = unflatten(flat, counts)
+            etas = rng.choice(edge, size=len(counts)) if exact \
+                else rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0])), len(counts))
+            expected = dense_deviation(game, z, rec, etas)
+            assert simulate_deviation(game, z, rec, etas) == expected, (case, rec)
+            outcomes.append(expected[1])
+    assert len(outcomes) >= 500 and 0 < sum(outcomes) < len(outcomes)
+
+
+def test_simulate_deviation_margins_are_the_certificates():
+    # etas that put each agent's best margin, as the certificate's gains give
+    # it, within rounding of FEASIBILITY_TOL: a gain summed in another order
+    # than flat_incentive_gains' would flip some of these decisions
+    rng = np.random.default_rng(77)
+    outcomes = []
+    for _ in range(60):
+        game = random_game(rng, max_agents=3, max_actions=6)
+        size = int(rng.integers(game.num_joint // 2, game.num_joint + 1))
+        support = np.sort(rng.choice(game.num_joint, size=size, replace=False))
+        z = JointDistribution(support, rng.dirichlet(np.ones(size)), game.action_counts)
+        split = incentive_gains(game, z)
+        for flat in support[:10].tolist():
+            rec = unflatten(flat, game.action_counts)
+            etas = []
+            for (gains, marginals), own in zip(split, rec):
+                margins = np.delete(gains[own], own) / marginals[own]
+                etas.append(FEASIBILITY_TOL - margins.max(initial=0.0))
+            expected = decide(split, rec, etas)
+            assert simulate_deviation(game, z, rec, etas) == expected
+            outcomes.append(expected[1])
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_simulate_deviation_tie_rule_and_tolerance_edge():
+    # costs that ignore every action: each margin is the agent's eta, tied
+    # across its alternatives
+    game = FiniteGame((3, 4, 2), np.zeros((3, 24)))
+    z = JointDistribution([5, 17], [0.5, 0.5], game.action_counts)  # (0, 2, 1) and (2, 0, 1)
+    above = np.nextafter(FEASIBILITY_TOL, np.inf)
+    assert simulate_deviation(game, z, (0, 2, 1), [FEASIBILITY_TOL] * 3) == ((0, 2, 1), False)
+    assert simulate_deviation(game, z, (0, 2, 1), [above] * 3) == ((1, 0, 0), True)
+    assert simulate_deviation(game, z, (2, 0, 1), [above, FEASIBILITY_TOL, 1.0]) \
+        == ((0, 0, 0), True)
+
+
+def test_simulate_deviation_on_airport_games():
+    # two runways of rate 2 with empty queues: full-ccce's optima mix several
+    # joint actions; point masses anywhere in the joint space are read too
+    config = ExperimentConfig(methods=("full-ccce",), num_trials=4, flight_counts=(6, 7, 8),
+                              sigma=0.5, master_seed=0,
+                              scenario={"runways": {"mu": [2, 2], "q0": [0, 0]},
+                                        "thresholds": {"congestion": 2, "lateness": 100}})
+    rng = np.random.default_rng(8)
+    mixed = 0
+    for num_flights in config.flight_counts:
+        for trial in range(config.num_trials):
+            lowered = lower_trial(config, trial, num_flights)
+            game = lowered.game
+            result = solve_full_ccce(game, lowered.q, np.asarray(lowered.sys_cost))
+            points = [JointDistribution([flat], [1.0], game.action_counts)
+                      for flat in rng.integers(game.num_joint, size=5).tolist()]
+            if result.status == LpStatus.OPTIMAL:
+                points.append(result.distribution)
+                mixed += result.distribution.support.size > 1
+            for z in points:
+                for flat in z.support.tolist():
+                    rec = unflatten(flat, game.action_counts)
+                    for etas in (lowered.etas, rng.normal(0.0, 5.0, game.num_agents)):
+                        assert simulate_deviation(game, z, rec, etas) \
+                            == dense_deviation(game, z, rec, etas), (num_flights, trial, rec)
+    assert mixed >= 8
+
+
+def test_simulate_deviation_requires_the_recommendation_in_the_support(intersection_game):
+    # a point mass on (S,S) does not recommend (G,G), nor does a z that
+    # puts 1e-9 on (G,S) and the rest on (S,S)
+    for z in (JointDistribution.point_mass((1, 1), (2, 2)),
+              JointDistribution([1, 3], [1e-9, 1.0 - 1e-9], (2, 2))):
+        with pytest.raises(ValueError, match="support"):
+            simulate_deviation(intersection_game, z, (0, 0), [0.0, 0.0])
+    with pytest.raises(ValueError, match="actions"):
+        simulate_deviation(intersection_game, JointDistribution.point_mass((1, 1), (2, 2)),
+                           (1, 1, 0), [0.0, 0.0])
 
 
 def test_simulate_deviation_validates_etas(intersection_game, half_device):
@@ -400,7 +493,7 @@ def test_memory_error_becomes_solver_failure(tmp_path, monkeypatch):
     result = run_experiment(base_config(methods=("full-ccce", "fcfs"), out_path=str(out)))
     statuses = [(r.method, r.status) for r in result.records]
     assert statuses == [("full-ccce", "solver-failure")] * 2 + [("fcfs", "ok")] * 2
-    assert len(list(csv.reader(out.open()))) == 1 + len(statuses)
+    assert len(list(csv.reader(out.read_text().splitlines()))) == 1 + len(statuses)
 
 
 def test_memory_error_before_the_solve_becomes_solver_failure(tmp_path, monkeypatch):
@@ -473,7 +566,7 @@ def test_run_experiment_csv_and_summary(tmp_path):
                          methods=METHODS)
     result = run_experiment(config)
     assert result.csv_path == out
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == list(CSV_COLUMNS)
     assert len(rows) == 1 + 3 * len(METHODS)
     summaries = result.summaries
@@ -493,8 +586,8 @@ def test_csv_determinism_modulo_solve_seconds(tmp_path):
         config = base_config(num_trials=4, flight_counts=(6, 7), sigma=2.0,
                              out_path=str(out))
         run_experiment(config)
-    rows_a = list(csv.reader(out_a.open()))
-    rows_b = list(csv.reader(out_b.open()))
+    rows_a = list(csv.reader(out_a.read_text().splitlines()))
+    rows_b = list(csv.reader(out_b.read_text().splitlines()))
     solve_col = CSV_COLUMNS.index("solve_seconds")
     assert len(rows_a) == len(rows_b)
     for ra, rb in zip(rows_a, rows_b):
