@@ -36,9 +36,8 @@ from .game import (
     MASS_TOL,
     FiniteGame,
     JointDistribution,
+    best_deviations,
     check_joint_space,
-    flat_incentive_gains,
-    gain_layout,
     unflatten,
 )
 from .lp import LinearProgram, LpStatus, SolverFailureError
@@ -100,10 +99,13 @@ def assemble_ce_constraints(game: FiniteGame, q) -> tuple[np.ndarray, np.ndarray
         sum_k (L_i[rec, k] - L_i[alt, k] + q_i) * w_(i, k, rec) <= 0,
 
     with w substituted ``gains(i, rec, alt) + q_i * marginal(rec) <= 0``,
-    both read off :func:`cceq.game.flat_incentive_gains`: the deterministic
-    equivalent of the conditional constraint whenever the recommendation's
-    marginal is positive, and vacuous (0 <= 0) when it is zero. ``q`` holds
-    one tightening q_i per agent (zeros for the nominal program).
+    the unnormalized deviation gain plus the tightening times the
+    recommendation's marginal: the deterministic equivalent of the
+    conditional constraint whenever that marginal is positive, and vacuous
+    (0 <= 0) when it is zero. Divided by a positive marginal, the largest of
+    a recommendation's rows is its best margin in
+    :func:`cceq.game.best_deviations`, which certifies a solution. ``q``
+    holds one tightening q_i per agent (zeros for the nominal program).
 
     Rows are the incentive rows, ordered by agent, then rec, then alt, and
     numbering R = sum_i m_i * (m_i - 1); then row R, the probability simplex;
@@ -306,20 +308,16 @@ def solve_full_ccce(game: FiniteGame, q, sys_cost,
 def check_ccce_feasibility(game: FiniteGame, z: JointDistribution, q) -> tuple[bool, float]:
     """Check a distribution against every incentive constraint tightened by ``q``.
 
-    Returns ``(feasible, worst)`` where ``worst`` is the maximum over
-    constraints with positive recommendation marginal of the normalized
-    left-hand side (conditional expected deviation gain plus tightening), or
-    -inf when there are none; ``feasible`` means ``worst <=
+    Returns ``(feasible, worst)`` where ``worst`` is the largest best
+    margin of :func:`cceq.game.best_deviations` shifted by ``q``: over the
+    constraints with positive recommendation marginal, the conditional
+    expected deviation gain plus its agent's tightening, or -inf when no
+    agent has an alternative; ``feasible`` means ``worst <=
     FEASIBILITY_TOL``, the tolerance every selection result is certified
     to. Zero-marginal constraints are vacuous and excluded from the maximum.
     """
-    q = _tightenings(game, q)
-    gains, marginals = flat_incentive_gains(game, z)
-    layout = gain_layout(game.action_counts)
-    marginal = marginals[layout.pair_rows]
-    live = (marginal > 0.0) & layout.off_diagonal
-    margins = gains / np.where(live, marginal, 1.0) + q[layout.pair_agents]
-    worst = float(margins.max(initial=-math.inf, where=live))
+    _, best, _ = best_deviations(game, z, _tightenings(game, q))
+    worst = float(best.max(initial=-math.inf))
     return worst <= FEASIBILITY_TOL, worst
 
 

@@ -12,29 +12,26 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BudgetExceededError",
     "FiniteGame",
-    "GainLayout",
     "JOINT_SPACE_CAP",
     "JointDistribution",
     "MASS_TOL",
+    "best_deviations",
     "check_joint_space",
-    "flat_incentive_gains",
     "flat_index",
     "game_from_dict",
     "game_to_dict",
-    "gain_layout",
     "load_game",
-    "point_gains",
     "save_game",
     "unflatten",
 ]
@@ -300,76 +297,58 @@ class JointDistribution:
         return mass
 
 
-class GainLayout(NamedTuple):
-    """Where every agent's deviation gains sit in one flat array: the pair
-    (agent i, rec, alt) at ``starts[i] + rec * m_i + alt``, agent by agent.
-    A row, agent i's action a, is ``offsets[i] + a`` as in
-    :class:`FiniteGame`."""
+def best_deviations(game: FiniteGame, z: JointDistribution,
+                    shift) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every agent's best deviation under z, one per live row.
 
-    starts: np.ndarray  # per agent, its first pair; then the pair count
-    pair_rows: np.ndarray  # per pair: its recommendation's row
-    pair_agents: np.ndarray  # per pair: its agent
-    off_diagonal: np.ndarray  # per pair: alt != rec
+    A live row is agent i's action r, row ``offsets[i] + r`` as in
+    :class:`FiniteGame`, that z recommends with positive marginal. Its best
+    margin is the largest, over agent i's actions alt != r, of
 
+        sum_{x: x_i = r} z(x) * (J_i(x) - J_i(alt, x_-i)) / marginal(r)
 
-@lru_cache(maxsize=256)
-def gain_layout(action_counts: tuple[int, ...]) -> GainLayout:
-    """The :class:`GainLayout` of games with these action counts, built once."""
-    counts = np.array(action_counts)
-    sizes = counts * counts
-    starts = np.append(0, np.cumsum(sizes))
-    offsets = np.append(0, np.cumsum(counts))[:-1]
-    pair_agents = np.repeat(np.arange(len(counts)), sizes)
-    place = np.arange(starts[-1]) - starts[pair_agents]  # rec * m_i + alt
-    width = counts[pair_agents]
-    layout = GainLayout(starts, offsets[pair_agents] + place // width, pair_agents,
-                        place // width != place % width)
-    for arr in layout:
-        arr.setflags(write=False)
-    return layout
+    plus ``shift[i]``, one shift per agent (a tightening or a perturbation);
+    a positive margin means switching from r to alt pays off in expectation.
+    Every sum runs over the support of z in ascending order, so a margin is
+    the same number whichever caller reads it.
 
-
-def point_gains(game: FiniteGame, z: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Every deviation gain under z, point by point: at support point k and
-    column (agent i, alt), numbered like the rows of :class:`FiniteGame`,
-    z(k) * (J_i(k) - J_i(alt, k_-i)), shape (|support|, sum_i m_i); and the
-    points' coordinates, shape (agents, |support|).
-
-    A positive entry means that switching from its own action at k to alt
-    pays off at k. Summed over the points where agent i plays rec, column
-    (i, alt) is the unnormalized gain of the pair (i, rec, alt). It costs
-    O(|support| * sum_i m_i), so a point mass costs O(sum_i m_i).
+    Returns ``(rows, best, alts)``: the live rows, ascending, their best
+    margins and, for each, the lowest alt that reaches it. A row whose agent
+    has no other action reads -inf and its own action. The gather costs
+    O(|support| * sum_i m_i) and the sums, padded to the widest agent, at
+    most O(n * |support| * max_i m_i): O(n * max_i m_i) for a point mass.
     """
     if z.action_counts != game.action_counts:
         raise ValueError("distribution does not match the game's action space")
+    shift = np.asarray(shift, dtype=float)
+    if shift.shape != (game.num_agents,):
+        raise ValueError(f"need one shift per agent, got shape {shift.shape}")
+    agents, actions = game.row_agents, game.row_actions
     coords = game.coordinates(z.support)
     entries = game.line_entries(coords)
-    agents = game.row_agents
+    # at support point x and column (agent i, alt), numbered like the rows:
+    # z(x) * (J_i(x) - J_i(alt, x_-i))
     own = game.flat_lines[entries][agents].T
-    swapped = game.flat_lines[(entries - coords)[agents].T + game.row_actions]
-    return z.weights[:, None] * (own - swapped), coords
-
-
-def flat_incentive_gains(game: FiniteGame, z: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Every agent's unnormalized deviation gains under z, in one flat array
-    laid out by :func:`gain_layout`, and every row's recommendation marginal.
-
-    The pair (i, rec, alt) holds the sum over the other agents' actions x of
-    z(rec, x) * (J_i(rec, x) - J_i(alt, x)), :func:`point_gains` summed over
-    the support of z in ascending order; a positive entry means switching
-    from ``rec`` to ``alt`` pays off in expectation. It is affine in z, the
-    form the equilibrium LP rows take; dividing it by the marginal of rec's
-    row gives the expected gain conditioned on the recommendation. A
-    zero-marginal row's pairs are zeros (its constraints are vacuous), and so
-    is every pair with alt == rec. Both arrays are one ``bincount`` each.
-    """
-    gains, coords = point_gains(game, z)
-    starts = gain_layout(game.action_counts).starts
-    counts = np.array(game.action_counts)[:, None]
-    bins = (starts[:-1, None] + coords * counts)[game.row_agents].T + game.row_actions
-    rows = coords + game.offsets[:, None]
-    return (np.bincount(bins.ravel(), gains.ravel(), starts[-1]),
-            np.bincount(rows.ravel(), np.tile(z.weights, len(counts)), len(game.row_agents)))
+    swapped = game.flat_lines[(entries - coords)[agents].T + actions]
+    gains = z.weights[:, None] * (own - swapped)
+    point_rows = coords + game.offsets[:, None]
+    marginals = np.bincount(point_rows.ravel(),
+                            np.repeat(z.weights[None], len(coords), axis=0).ravel(), len(agents))
+    rows = np.flatnonzero(marginals)
+    # live row l's sums at slots l * width + alt, padded to the widest agent
+    # so that one argmax reads every row
+    width = max(game.action_counts)
+    live = np.arange(len(rows))
+    slots = np.zeros(len(agents), dtype=np.intp)
+    slots[rows] = live * width
+    sums = np.bincount((slots[point_rows][agents].T + actions).ravel(), gains.ravel(),
+                       len(rows) * width).reshape(len(rows), width)
+    row_agents = agents[rows]
+    margins = sums / marginals[rows, None] + shift[row_agents, None]
+    margins[live, actions[rows]] = -np.inf  # alt == r
+    margins[np.arange(width) >= np.array(game.action_counts)[row_agents, None]] = -np.inf
+    alts = margins.argmax(axis=1)  # the first maximum: the lowest-index tie rule
+    return rows, margins[live, alts], alts
 
 
 # --- JSON serialization -----------------------------------------------------
@@ -392,10 +371,18 @@ def game_to_dict(game: FiniteGame) -> dict:
 def game_from_dict(doc: dict) -> FiniteGame:
     if not isinstance(doc, dict):
         raise ValueError(f"a game must be a JSON object, got {type(doc).__name__}")
-    counts = tuple(int(m) for m in doc["action_counts"])
-    if int(doc["agents"]) != len(counts):
+    counts = tuple(_integer("an action count", m) for m in doc["action_counts"])
+    if _integer("'agents'", doc["agents"]) != len(counts):
         raise ValueError("'agents' disagrees with the length of 'action_counts'")
     return FiniteGame(counts, np.asarray(doc["costs"], dtype=float))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` if it is an integer; ValueError for a bool, a float (2.0
+    included) or anything else."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def save_game(game: FiniteGame, path) -> None:

@@ -41,9 +41,9 @@ from .game import (
     BudgetExceededError,
     FiniteGame,
     JointDistribution,
+    best_deviations,
     check_joint_space,
     flat_index,
-    point_gains,
     unflatten,
 )
 from .lp import LpStatus, SolverFailureError, load_highs
@@ -249,17 +249,16 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
 
     ``etas`` holds one perturbation draw per agent, shared across all of that
     agent's comparisons (the harness draws them from per-agent substreams).
-    Each agent computes, for every alternative, the conditional expected
-    deviation gain given its recommended action plus its eta: the
-    :func:`cceq.game.point_gains` of the support points where it plays its
-    recommendation, summed in ascending order (as
-    :func:`cceq.game.flat_incentive_gains` sums them) and divided by their
-    mass. If the best margin exceeds ``FEASIBILITY_TOL``, the tolerance
-    selection results are certified to, the agent best-responds to it (ties
-    to the lowest action index), otherwise it follows the recommendation.
-    Agents decide simultaneously against z, not against each other's
-    realized switches. The recommendation must be in the support of z;
-    otherwise ValueError is raised.
+    Each agent reads its recommendation's row of
+    :func:`cceq.game.best_deviations` shifted by the etas: its best
+    conditional expected deviation gain plus its eta, the same margin the
+    certificate reads with its tightening. If that margin exceeds
+    ``FEASIBILITY_TOL``, the tolerance selection results are certified to,
+    the agent best-responds to it (ties to the lowest action index),
+    otherwise it follows the recommendation. Agents decide simultaneously
+    against z, not against each other's realized switches. The
+    recommendation must be in the support of z; otherwise ValueError is
+    raised.
 
     Returns ``(final_action, deviated)``.
     """
@@ -268,24 +267,14 @@ def simulate_deviation(game: FiniteGame, z: JointDistribution, recommendation, e
     if len(rec) != game.num_agents or len(etas) != game.num_agents:
         raise ValueError(f"expected {game.num_agents} actions and etas, "
                          f"got {len(rec)} and {len(etas)}")
-    gains, coords = point_gains(game, z)
-    if rec not in zip(*coords.tolist()):  # the support's joint actions
+    rows, best, alts = best_deviations(game, z, etas)
+    flat = flat_index(rec, game.action_counts)
+    at = z.support.searchsorted(flat)
+    if at == z.support.size or z.support[at] != flat:
         raise ValueError(f"recommendation {rec} is not in the support of z")
     recs = np.array(rec)
-    agents, actions = game.row_agents, game.row_actions
-    # per column (agent i, alt), its gains at the points where agent i plays
-    # its recommendation, summed by bincount in ascending order as
-    # flat_incentive_gains sums them, so margins match it bit for bit
-    points, columns = np.nonzero((coords.T == recs)[:, agents])
-    marginals = np.bincount(columns, z.weights[points], len(agents))
-    margins = (np.bincount(columns, gains[points, columns], len(agents)) / marginals
-               + etas[agents])
-    margins[game.offsets + recs] = -np.inf
-    best = np.maximum.reduceat(margins, game.offsets)
-    # the first maximum of each agent's margins: the lowest-index tie rule
-    first = np.minimum.reduceat(np.where(margins == best[agents], actions, len(actions)),
-                                game.offsets)
-    final_action = tuple(np.where(best > FEASIBILITY_TOL, first, recs).tolist())
+    at = rows.searchsorted(game.offsets + recs)  # every agent's recommendation row
+    final_action = tuple(np.where(best[at] > FEASIBILITY_TOL, alts[at], recs).tolist())
     return final_action, final_action != rec
 
 

@@ -13,8 +13,10 @@ tables, the LP form of the reduced-rank program, and the airport scenario's
 cost model evaluated one joint action and one flight at a time (the
 reference for ``build_game``).
 ``build_game``'s earlier lowering on the whole action grid, flight by
-flight, is kept as its bit-exact reference. ``incentive_gains`` is no
-oracle: it splits the package's flat gains by agent for tests to index.
+flight, is kept as its bit-exact reference. The incentive gains come two
+ways, as a dense matrix product and as a loop over the support in the
+package's summation order, and ``best_rows`` reduces either to the best
+deviation of every live row, the form ``cceq.game.best_deviations`` returns.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ from cceq.game import (
     FiniteGame,
     JointDistribution,
     check_joint_space,
-    flat_incentive_gains,
     flat_index,
-    gain_layout,
     unflatten,
 )
 from cceq.lp import LinearProgram, LpStatus
@@ -286,10 +286,11 @@ def lp_with_known_optimum(rng: np.random.Generator, num_vars: int, num_rows: int
 
 
 def random_game(rng: np.random.Generator, max_agents: int = 3, max_actions: int = 3,
-                low: int = -5, high: int = 5) -> FiniteGame:
+                low: int = -5, high: int = 5, min_agents: int = 2,
+                min_actions: int = 2) -> FiniteGame:
     """Random small game with integer costs in [low, high]."""
-    n = int(rng.integers(2, max_agents + 1))
-    counts = tuple(int(rng.integers(2, max_actions + 1)) for _ in range(n))
+    n = int(rng.integers(min_agents, max_agents + 1))
+    counts = tuple(int(rng.integers(min_actions, max_actions + 1)) for _ in range(n))
     num_joint = int(np.prod(counts))
     costs = rng.integers(low, high + 1, size=(n, num_joint)).astype(float)
     return FiniteGame(counts, costs)
@@ -311,21 +312,13 @@ def cc_pne_flats(game: FiniteGame, q) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def incentive_gains(game: FiniteGame, z: JointDistribution):
-    """``flat_incentive_gains`` split by agent: one ``(gains, marginals)``
-    pair per agent, ``gains[rec, alt]`` of shape (m_i, m_i) and
-    ``marginals[rec]``, views of the flat arrays."""
-    gains, marginals = flat_incentive_gains(game, z)
-    starts = gain_layout(game.action_counts).starts
-    return [(gains[start:start + m * m].reshape(m, m), marginals[offset:offset + m])
-            for start, offset, m in zip(starts.tolist(), game.offsets.tolist(),
-                                        game.action_counts)]
-
-
 def dense_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
-    """``incentive_gains`` over the whole joint space, as one matrix product:
-    pairwise[rec, alt] = sum_x z(rec, x) * J_i(alt, x), and
-    gains[rec, alt] = pairwise[rec, rec] - pairwise[rec, alt]."""
+    """Agent ``agent``'s unnormalized deviation gains ``gains[rec, alt]``,
+    the sum over the others' actions x of z(rec, x) * (J_i(rec, x) -
+    J_i(alt, x)), and its recommendation marginals ``marginals[rec]``, over
+    the whole joint space as one matrix product: pairwise[rec, alt] =
+    sum_x z(rec, x) * J_i(alt, x), and gains[rec, alt] = pairwise[rec, rec]
+    - pairwise[rec, alt]."""
     m = game.action_counts[agent]
     zmat = np.moveaxis(z.mass.reshape(game.action_counts), agent, 0).reshape(m, -1)
     jmat = np.moveaxis(game.costs[agent].reshape(game.action_counts), agent, 0).reshape(m, -1)
@@ -334,10 +327,11 @@ def dense_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
 
 
 def loop_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
-    """``incentive_gains`` for one agent as a loop over the support of z, in
+    """:func:`dense_incentive_gains` as a loop over the support of z, in
     ascending order: at each point x, z(x) * (J_i(x) - J_i(alt, x_-i)) is
-    added to row x_i, the same products summed in the same order as the
-    package's kernel, so the two agree bit for bit."""
+    added to row x_i, the same products summed in the same order as
+    ``cceq.game.best_deviations`` sums them, so the margins agree bit for
+    bit."""
     m = game.action_counts[agent]
     gains, marginals = np.zeros((m, m)), np.zeros(m)
     for flat, weight in zip(z.support.tolist(), z.weights.tolist()):
@@ -349,6 +343,27 @@ def loop_incentive_gains(game: FiniteGame, z: JointDistribution, agent: int):
         gains[own] += weight * (line[own] - line)
         marginals[own] += weight
     return gains, marginals
+
+
+def best_rows(split, shift):
+    """Every live row's best deviation from one ``(gains, marginals)`` pair
+    per agent, as either oracle above gives it: the rows ``offset_i + rec``
+    with a positive marginal, ascending, and at each the largest of
+    ``gains[rec, alt] / marginals[rec] + shift[i]`` over alt != rec and the
+    first alt reaching it (-inf and rec itself when the agent has no other
+    action)."""
+    rows, best, alts = [], [], []
+    offset = 0
+    for i, (gains, marginals) in enumerate(split):
+        for rec in np.flatnonzero(marginals > 0.0).tolist():
+            margins = gains[rec] / marginals[rec] + shift[i]
+            margins[rec] = -np.inf
+            alt = int(np.argmax(margins))  # the first maximum
+            rows.append(offset + rec)
+            best.append(margins[alt])
+            alts.append(alt)
+        offset += len(marginals)
+    return np.array(rows, dtype=np.intp), np.array(best), np.array(alts, dtype=np.intp)
 
 
 def grid_distributions(num_joint: int, denom: int = 20, every: int = 1):

@@ -125,6 +125,25 @@ def test_malformed_documents_exit_2_and_write_nothing(tmp_path, monkeypatch, cap
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
+@pytest.mark.parametrize("command", ["check", "enumerate-pne"])
+@pytest.mark.parametrize("agents, counts", [
+    (2, [2.7, 2]),    # a fraction, once truncated to 2
+    (2, [2.0, 2]),
+    (2, [True, 2]),
+    (2.0, [2, 2]),
+    (True, [2]),
+    (2, ["2", 2]),
+])
+def test_non_integer_game_counts_exit_2(tmp_path, capsys, command, agents, counts):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"agents": agents, "action_counts": counts,
+                                "costs": INTERSECTION_COSTS.tolist()}))
+    rc = main([command, "--game-file", str(path), "--alpha", "0.9", "--sigma", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "must be an integer" in captured.err and "found" not in captured.out
+
+
 def test_run_out_flag_beats_config_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "config.json"

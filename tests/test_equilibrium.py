@@ -18,17 +18,20 @@ from cceq.game import (
     BudgetExceededError,
     FiniteGame,
     JointDistribution,
+    best_deviations,
 )
 from cceq.lp import LpSolution, LpStatus, SolverFailureError
 from cceq.uncertainty import substream, tightenings
 from cceq.vq import build_game, generate_instance
 from oracles import (
+    best_rows,
     cc_pne_flats,
     dense_constraints,
+    dense_incentive_gains,
     enumerate_lp_vertices,
     eq_feasible,
     eq_margins,
-    incentive_gains,
+    loop_incentive_gains,
     profiles,
     random_game,
     reference_ccce_program,
@@ -493,8 +496,11 @@ def test_sample_recommendation_deterministic(half_device):
 
 
 def test_assemble_rows_consistent_with_check_margins():
-    # unnormalized LP row value == marginal * normalized margin, per constraint;
-    # the gain kernel's rows, normalized and tightened, are those margins
+    # unnormalized LP row value == marginal * normalized margin, per
+    # constraint; each live row's best margin, tightened, is the largest of
+    # its constraints' margins, bit for bit the loop oracle's and the dense
+    # oracle's up to its summation order, and the certificate's worst is
+    # the largest of them
     rng = np.random.default_rng(4242)
     for _ in range(25):
         game = random_game(rng)
@@ -505,19 +511,50 @@ def test_assemble_rows_consistent_with_check_margins():
         mass = rng.dirichlet(np.ones(game.num_joint))
         z = JointDistribution.from_mass(mass, game.action_counts)
         margins = eq_margins(game, mass, [sigma] * game.num_agents, alpha)
-        kernel = incentive_gains(game, z)
         for row, (i, rec, alt) in zip(rows, canonical_ids(game), strict=True):
             marginal = float(np.moveaxis(mass.reshape(game.action_counts), i, 0)[rec].sum())
-            gains, marginals = kernel[i]
-            assert marginals[rec] == pytest.approx(marginal, abs=1e-12)
             if marginal <= 0.0:
                 assert float(row @ mass) == pytest.approx(0.0, abs=1e-12)
-                assert gains[rec, alt] == 0.0
             else:
                 assert float(row @ mass) == pytest.approx(
                     marginal * margins[(i, rec, alt)], abs=1e-8)
-                assert gains[rec, alt] / marginals[rec] + quantiles[i] == pytest.approx(
-                    margins[(i, rec, alt)], abs=1e-9)
+        got = best_deviations(game, z, quantiles)
+        loop = best_rows([loop_incentive_gains(game, z, i) for i in range(game.num_agents)],
+                         quantiles)
+        dense = best_rows([dense_incentive_gains(game, z, i) for i in range(game.num_agents)],
+                          quantiles)
+        assert all(np.array_equal(a, b) for a, b in zip(got, loop, strict=True))
+        assert np.array_equal(got[0], dense[0])
+        assert np.allclose(got[1], dense[1], rtol=1e-12, atol=1e-12)
+        for row, best, alt in zip(*got, strict=True):
+            i, rec = int(game.row_agents[row]), int(game.row_actions[row])
+            assert best == pytest.approx(margins[(i, rec, int(alt))], abs=1e-9)
+            assert best == pytest.approx(max(margins[(i, rec, a)] for a in
+                                             range(game.action_counts[i]) if a != rec), abs=1e-9)
+        assert check_ccce_feasibility(game, z, quantiles)[1] == got[1].max()
+
+
+def test_check_worst_is_the_oracles_largest_best_margin():
+    # games of 1-4 agents with 1-5 actions: rows with no alternative read
+    # -inf, and a game where no agent has one reads worst -inf, feasible
+    rng = np.random.default_rng(2121)
+    lone = 0
+    for case in range(300):
+        game = random_game(rng, max_agents=4, max_actions=5, min_agents=1, min_actions=1)
+        size = 1 if case % 3 == 0 else int(rng.integers(1, game.num_joint + 1))
+        support = np.sort(rng.choice(game.num_joint, size=size, replace=False))
+        z = JointDistribution(support, rng.dirichlet(np.ones(size)), game.action_counts)
+        q = tightenings(float(rng.choice([0.0, 0.5, 1.0])), 0.9, game.num_agents)
+        feasible, worst = check_ccce_feasibility(game, z, q)
+        loop = best_rows([loop_incentive_gains(game, z, i) for i in range(game.num_agents)], q)
+        dense = best_rows([dense_incentive_gains(game, z, i) for i in range(game.num_agents)], q)
+        assert worst == loop[1].max() and feasible == (worst <= eqmod.FEASIBILITY_TOL)
+        assert worst == pytest.approx(dense[1].max(), abs=1e-12)
+        lone += game.num_agents == 1
+    assert lone > 0
+    one_action = FiniteGame((1,), np.array([[3.0]]))
+    assert check_ccce_feasibility(one_action, JointDistribution.point_mass((0,), (1,)),
+                                  np.ones(1)) == (True, -np.inf)
 
 
 @pytest.mark.parametrize("master_seed, num_flights, trial",

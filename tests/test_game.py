@@ -7,16 +7,15 @@ from cceq.game import (
     BudgetExceededError,
     FiniteGame,
     JointDistribution,
+    best_deviations,
     flat_index,
     game_from_dict,
-    flat_incentive_gains,
     game_to_dict,
-    gain_layout,
     load_game,
     save_game,
     unflatten,
 )
-from oracles import dense_incentive_gains, incentive_gains, loop_incentive_gains, random_game
+from oracles import best_rows, dense_incentive_gains, loop_incentive_gains, random_game
 
 
 def test_flat_index_examples():
@@ -60,121 +59,139 @@ def test_flat_unflatten_roundtrip_full_space(counts):
 
 def test_deviation_cost_intersection_game(intersection_game):
     # agent 1 of the paper's table is index 0 here; under a point mass the
-    # gain is the plain cost change J_0(rec, x_1) - J_0(alt, x_1)
-    gains, _ = incentive_gains(intersection_game, JointDistribution.point_mass((0, 1), (2, 2)))[0]
-    assert gains[0, 1] == pytest.approx(-2.0)
-    gains, _ = incentive_gains(intersection_game, JointDistribution.point_mass((1, 1), (2, 2)))[0]
-    assert gains[1, 0] == pytest.approx(2.0)
+    # gain is the plain cost change J_0(rec, x_1) - J_0(alt, x_1). Rows:
+    # agent 0's G and S are 0 and 1, agent 1's are 2 and 3
+    rows, best, alts = best_deviations(
+        intersection_game, JointDistribution.point_mass((0, 1), (2, 2)), np.zeros(2))
+    assert rows.tolist() == [0, 3] and best.tolist() == [-2.0, -4.0] and alts.tolist() == [1, 0]
+    rows, best, alts = best_deviations(
+        intersection_game, JointDistribution.point_mass((1, 1), (2, 2)), np.zeros(2))
+    assert rows.tolist() == [1, 3] and best.tolist() == [2.0, 2.0] and alts.tolist() == [0, 0]
 
 
 def test_incentive_gains_diagonal_and_validation(intersection_game):
+    # the best deviation never stays put while the agent has an alternative
     rng = np.random.default_rng(5)
     for _ in range(20):
         game = FiniteGame((2, 3, 2), rng.normal(size=(3, 12)))
         z = JointDistribution.from_mass(rng.dirichlet(np.ones(12)), (2, 3, 2))
-        for gains, _ in incentive_gains(game, z):
-            assert np.all(np.diag(gains) == 0.0)
-    with pytest.raises(ValueError):
-        incentive_gains(intersection_game, JointDistribution.from_mass(np.ones(3) / 3, (3,)))
+        rows, best, alts = best_deviations(game, z, rng.normal(size=3))
+        assert rows.tolist() == list(range(7))
+        assert np.isfinite(best).all() and (alts != game.row_actions).all()
+    with pytest.raises(ValueError, match="action space"):
+        best_deviations(intersection_game, JointDistribution.from_mass(np.ones(3) / 3, (3,)),
+                        np.zeros(2))
+    for shift in (np.zeros(1), np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match="shift"):
+            best_deviations(intersection_game, JointDistribution.point_mass((0, 0), (2, 2)), shift)
+
+
+def random_cases(rng, count, exact):
+    """Games of 1-4 agents with 1-5 actions each, so that some agent has no
+    alternative and some game has one agent, each with a shift and with
+    point masses and multi-support distributions. With ``exact``, costs are
+    small integers and weights sixteenths, so every sum is exact."""
+    for case in range(count):
+        game = random_game(rng, max_agents=4, max_actions=5, min_agents=1, min_actions=1)
+        counts = game.action_counts
+        size = 1 if case % 3 == 0 else int(rng.integers(1, min(game.num_joint, 16) + 1))
+        support = np.sort(rng.choice(game.num_joint, size=size, replace=False))
+        if exact:
+            weights = (rng.multinomial(16 - size, np.ones(size) / size) + 1) / 16
+        else:
+            weights = rng.dirichlet(np.ones(size))
+        shift = rng.choice([0.0, 0.5, -1.25], size=len(counts)) if exact \
+            else rng.normal(size=len(counts))
+        yield game, JointDistribution(support, weights, counts), shift
 
 
 def test_incentive_gains_matches_dense_oracle():
-    # one call covers every agent: exact on point masses, and on random
-    # multi-support z equal up to the oracle's different summation order
+    # exact sums: equal to the dense oracle bit for bit, ties included;
+    # otherwise equal up to its different summation order
     rng = np.random.default_rng(13)
-    for _ in range(40):
-        game = random_game(rng, max_agents=4, max_actions=4)
-        counts = game.action_counts
-        for flat in rng.choice(game.num_joint, size=3, replace=False):
-            z = JointDistribution.point_mass(unflatten(flat, counts), counts)
-            got = incentive_gains(game, z)
-            assert len(got) == game.num_agents
-            for agent, (gains, marginals) in enumerate(got):
-                want = dense_incentive_gains(game, z, agent)
-                assert gains.shape == (counts[agent], counts[agent])
-                assert np.array_equal(gains, want[0]) and np.array_equal(marginals, want[1])
-        for _ in range(3):
-            support = rng.choice(game.num_joint, size=int(rng.integers(2, game.num_joint + 1)),
-                                 replace=False)
-            mass = np.zeros(game.num_joint)
-            mass[support] = rng.dirichlet(np.ones(support.size))
-            z = JointDistribution.from_mass(mass, counts)
-            for agent, (gains, marginals) in enumerate(incentive_gains(game, z)):
-                want = dense_incentive_gains(game, z, agent)
-                assert np.allclose(gains, want[0], rtol=1e-12, atol=1e-12)
-                assert np.allclose(marginals, want[1], rtol=1e-12, atol=1e-12)
+    counts_seen = set()
+    for exact in (True, False):
+        for game, z, shift in random_cases(rng, 150, exact):
+            counts_seen.update(game.action_counts)
+            want = best_rows([dense_incentive_gains(game, z, i)
+                              for i in range(game.num_agents)], shift)
+            rows, best, alts = best_deviations(game, z, shift)
+            assert np.array_equal(rows, want[0])
+            if exact:
+                assert np.array_equal(best, want[1]) and np.array_equal(alts, want[2])
+            else:
+                assert np.allclose(best, want[1], rtol=1e-12, atol=1e-12)
+    assert 1 in counts_seen
 
 
 def test_incentive_gains_equal_a_loop_over_the_support():
-    # the flat kernel sums the loop's products in the loop's order: equal bit
-    # for bit, and laid out where gain_layout places each (agent, rec, alt)
+    # the same products summed in the same order as the loop: every live
+    # row's best margin and its argmax equal the loop's bit for bit, on rows
+    # with no alternative (best -inf) and in one-agent games too
     rng = np.random.default_rng(31)
-    for _ in range(40):
-        game = random_game(rng, max_agents=4, max_actions=5)
-        counts = game.action_counts
-        support = np.sort(rng.choice(game.num_joint, size=int(rng.integers(1, game.num_joint + 1)),
-                                     replace=False))
-        z = JointDistribution(support, rng.dirichlet(np.ones(support.size)), counts)
-        flat_gains, flat_marginals = flat_incentive_gains(game, z)
-        layout = gain_layout(counts)
-        assert flat_gains.size == layout.starts[-1] == sum(m * m for m in counts)
-        for agent, (gains, marginals) in enumerate(incentive_gains(game, z)):
-            want_gains, want_marginals = loop_incentive_gains(game, z, agent)
-            assert np.array_equal(gains, want_gains)
-            assert np.array_equal(marginals, want_marginals)
-            pairs = layout.pair_agents == agent
-            assert np.array_equal(flat_gains[pairs], want_gains.ravel())
-            assert np.array_equal(flat_marginals[layout.pair_rows[pairs]],
-                                  np.repeat(want_marginals, counts[agent]))
-            assert np.array_equal(layout.off_diagonal[pairs], ~np.eye(counts[agent], dtype=bool).ravel())
+    lone = one_agent = 0
+    for game, z, shift in random_cases(rng, 300, exact=False):
+        want = best_rows([loop_incentive_gains(game, z, i) for i in range(game.num_agents)], shift)
+        got = best_deviations(game, z, shift)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        lone += int(np.isneginf(got[1]).sum())
+        one_agent += game.num_agents == 1
+    assert lone > 0 and one_agent > 0
 
 
 def test_deviation_cost_antisymmetry():
+    # an agent with two actions has one alternative, so its best margin at a
+    # under a point mass is the plain gain a -> b, and at b the gain b -> a
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(2, 4))
-        counts = tuple(int(rng.integers(2, 4)) for _ in range(n))
-        costs = rng.normal(size=(n, int(np.prod(counts))))
-        game = FiniteGame(counts, costs)
         agent = int(rng.integers(n))
-        a, b = (int(x) for x in rng.choice(counts[agent], size=2, replace=False))
+        counts = tuple(2 if i == agent else int(rng.integers(2, 4)) for i in range(n))
+        game = FiniteGame(counts, rng.normal(size=(n, int(np.prod(counts)))))
         coords = [int(rng.integers(m)) for m in counts]
-        coords[agent] = a
-        fwd = incentive_gains(game, JointDistribution.point_mass(coords, counts))[agent][0][a, b]
-        coords[agent] = b
-        back = incentive_gains(game, JointDistribution.point_mass(coords, counts))[agent][0][b, a]
-        assert fwd == pytest.approx(-back, abs=1e-9)
+        margins = []
+        for a in (0, 1):
+            coords[agent] = a
+            rows, best, _ = best_deviations(game, JointDistribution.point_mass(coords, counts),
+                                            np.zeros(n))
+            margins.append(best[agent])
+            assert rows[agent] == game.offsets[agent] + a
+        assert margins[0] == pytest.approx(-margins[1], abs=1e-9)
 
 
 def test_conditional_expected_deviation_intersection_game(intersection_game, half_device):
-    gains, marginals = incentive_gains(intersection_game, half_device)[0]
-    assert np.array_equal(marginals, [0.5, 0.5])
-    assert gains[0, 1] / marginals[0] == pytest.approx(-2.0)
-    assert gains[1, 0] / marginals[1] == pytest.approx(-4.0)
+    rows, best, alts = best_deviations(intersection_game, half_device, np.zeros(2))
+    assert rows.tolist() == [0, 1, 2, 3] and alts.tolist() == [1, 0, 1, 0]
+    assert best[0] == pytest.approx(-2.0) and best[1] == pytest.approx(-4.0)
 
 
 def test_conditional_zero_marginal_is_vacuous(intersection_game):
-    # never recommends G to agent 0
+    # never recommends G to agent 0, so its row 0 is not live
     z = JointDistribution.from_mass(np.array([0.0, 0.0, 0.5, 0.5]), (2, 2))
-    gains, marginals = incentive_gains(intersection_game, z)[0]
-    assert marginals[0] == 0.0
-    assert np.array_equal(gains[0], [0.0, 0.0])
+    rows, _, _ = best_deviations(intersection_game, z, np.zeros(2))
+    assert rows.tolist() == [1, 2, 3]
 
 
 def test_unnormalized_is_linear_in_z(intersection_game):
+    # each row has one alternative, so its best margin times its marginal is
+    # the unnormalized gain, affine in z
     rng = np.random.default_rng(11)
+
+    def unnormalized(mass):
+        z = JointDistribution.from_mass(mass, (2, 2))
+        rows, best, _ = best_deviations(intersection_game, z, np.zeros(2))
+        assert rows.tolist() == [0, 1, 2, 3]
+        grid = mass.reshape(2, 2)
+        return best * np.concatenate((grid.sum(axis=1), grid.sum(axis=0)))
+
     for _ in range(25):
         m1 = rng.dirichlet(np.ones(4))
         m2 = rng.dirichlet(np.ones(4))
         lam = float(rng.uniform())
-        z1 = JointDistribution.from_mass(m1, (2, 2))
-        z2 = JointDistribution.from_mass(m2, (2, 2))
-        mix = JointDistribution.from_mass(lam * m1 + (1 - lam) * m2, (2, 2))
-        for agent in (0, 1):
-            blended = lam * incentive_gains(intersection_game, z1)[agent][0] \
-                + (1 - lam) * incentive_gains(intersection_game, z2)[agent][0]
-            direct = incentive_gains(intersection_game, mix)[agent][0]
-            assert np.allclose(direct, blended, rtol=0.0, atol=1e-9)
+        blended = lam * unnormalized(m1) + (1 - lam) * unnormalized(m2)
+        direct = unnormalized(lam * m1 + (1 - lam) * m2)
+        assert np.allclose(direct, blended, rtol=0.0, atol=1e-9)
 
 
 def test_distribution_validation():
@@ -245,8 +262,9 @@ def test_point_mass_on_a_joint_space_at_the_int64_limit():
     assert game.num_joint == 2 ** 63
     last = JointDistribution.point_mass((1,) * 63, game.action_counts)
     assert last.support.tolist() == [2 ** 63 - 1]
-    gains = incentive_gains(game, last)
-    assert all(g[1].tolist() == [-1.0, 0.0] and m.tolist() == [0.0, 1.0] for g, m in gains)
+    rows, best, alts = best_deviations(game, last, np.zeros(63))
+    assert rows.tolist() == (game.offsets + 1).tolist()
+    assert best.tolist() == [-1.0] * 63 and alts.tolist() == [0] * 63
     with pytest.raises(BudgetExceededError, match="int64"):
         FiniteGame.from_lines((2,) * 64, lines + lines[:1], np.zeros((64, 128), dtype=np.intp))
 

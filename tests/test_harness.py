@@ -35,7 +35,7 @@ from cceq.harness import (
 from cceq.lp import LpStatus, SolverFailureError
 from cceq.uncertainty import substream
 from cceq.vq import SystemCost, build_game, generate_instance
-from oracles import dense_incentive_gains, incentive_gains, random_game
+from oracles import dense_incentive_gains, loop_incentive_gains, random_game
 
 
 def test_simulate_deviation_forced_eta(intersection_game, half_device):
@@ -81,20 +81,29 @@ def dense_deviation(game, z, rec, etas):
     return decide([dense_incentive_gains(game, z, i) for i in range(game.num_agents)], rec, etas)
 
 
+def loop_deviation(game, z, rec, etas):
+    return decide([loop_incentive_gains(game, z, i) for i in range(game.num_agents)], rec, etas)
+
+
 def test_simulate_deviation_matches_the_dense_oracle():
-    # random games, point masses and multi-support z. Small integer costs and
-    # weights in sixteenths keep every sum exact, so margins tie often and
-    # equal the oracle's bit for bit, FEASIBILITY_TOL itself included
+    # random games of 1-4 agents with 1-4 actions, point masses and
+    # multi-support z, against both oracles. Small integer costs and weights
+    # in sixteenths keep every sum exact, so margins tie often and equal the
+    # dense oracle's bit for bit, FEASIBILITY_TOL itself included. An agent
+    # without an alternative always follows its recommendation
     rng = np.random.default_rng(2024)
     edge = [0.0, FEASIBILITY_TOL, np.nextafter(FEASIBILITY_TOL, np.inf), -1.0, 1.0, 2.5]
     outcomes = []
-    for case in range(150):
-        game = random_game(rng, max_agents=4, max_actions=4)
+    lone = one_agent = 0
+    for case in range(200):
+        game = random_game(rng, max_agents=4, max_actions=4, min_agents=1, min_actions=1)
         counts = game.action_counts
+        lone += 1 in counts
+        one_agent += len(counts) == 1
         exact = case % 2 == 0
         if exact:
             game = FiniteGame(counts, rng.integers(0, 4, size=(len(counts), game.num_joint)))
-        size = 1 if case % 3 == 0 else int(rng.integers(2, min(game.num_joint, 16) + 1))
+        size = 1 if case % 3 == 0 else int(rng.integers(1, min(game.num_joint, 16) + 1))
         support = np.sort(rng.choice(game.num_joint, size=size, replace=False))
         weights = (rng.multinomial(16 - size, np.ones(size) / size) + 1) / 16 if exact \
             else rng.dirichlet(np.ones(size))
@@ -104,15 +113,19 @@ def test_simulate_deviation_matches_the_dense_oracle():
             etas = rng.choice(edge, size=len(counts)) if exact \
                 else rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0])), len(counts))
             expected = dense_deviation(game, z, rec, etas)
-            assert simulate_deviation(game, z, rec, etas) == expected, (case, rec)
+            got = simulate_deviation(game, z, rec, etas)
+            assert got == expected == loop_deviation(game, z, rec, etas), (case, rec)
+            assert all(got[0][i] == rec[i] for i, m in enumerate(counts) if m == 1)
             outcomes.append(expected[1])
     assert len(outcomes) >= 500 and 0 < sum(outcomes) < len(outcomes)
+    assert lone > 0 and one_agent > 0
 
 
 def test_simulate_deviation_margins_are_the_certificates():
-    # etas that put each agent's best margin, as the certificate's gains give
-    # it, within rounding of FEASIBILITY_TOL: a gain summed in another order
-    # than flat_incentive_gains' would flip some of these decisions
+    # etas that put each agent's best margin, as the loop oracle sums it in
+    # the certificate's order, within rounding of FEASIBILITY_TOL: a gain
+    # summed in another order would flip some of these decisions. The dense
+    # oracle, which sums in another order, agrees away from the edge
     rng = np.random.default_rng(77)
     outcomes = []
     for _ in range(60):
@@ -120,7 +133,7 @@ def test_simulate_deviation_margins_are_the_certificates():
         size = int(rng.integers(game.num_joint // 2, game.num_joint + 1))
         support = np.sort(rng.choice(game.num_joint, size=size, replace=False))
         z = JointDistribution(support, rng.dirichlet(np.ones(size)), game.action_counts)
-        split = incentive_gains(game, z)
+        split = [loop_incentive_gains(game, z, i) for i in range(game.num_agents)]
         for flat in support[:10].tolist():
             rec = unflatten(flat, game.action_counts)
             etas = []
@@ -130,6 +143,9 @@ def test_simulate_deviation_margins_are_the_certificates():
             expected = decide(split, rec, etas)
             assert simulate_deviation(game, z, rec, etas) == expected
             outcomes.append(expected[1])
+            far = np.array(etas) + rng.choice([-1.0, 1.0], size=len(etas))
+            assert simulate_deviation(game, z, rec, far) == dense_deviation(game, z, rec, far) \
+                == loop_deviation(game, z, rec, far)
     assert 0 < sum(outcomes) < len(outcomes)
 
 
