@@ -33,9 +33,8 @@ __all__ = ["main"]
 
 
 def _parse_sigma(text: str):
-    parts = [p for p in text.split(",") if p]
-    values = [float(p) for p in parts]
-    return values[0] if len(values) == 1 else tuple(values)
+    values = tuple(float(p) for p in text.split(",") if p)
+    return values[0] if len(values) == 1 else values
 
 
 def _parse_flights(text: str) -> tuple[int, ...]:
@@ -52,22 +51,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a Monte Carlo benchmark batch")
+    # each flag's dest is the ExperimentConfig field it sets; an absent flag sets none
+    run = sub.add_parser("run", help="run a Monte Carlo benchmark batch",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--config", type=Path, help="JSON config file")
-    run.add_argument("--methods", help=f"comma list from {','.join(METHODS)}")
-    run.add_argument("--trials", type=int, help="trials per cell")
-    run.add_argument("--flights", help="flight counts, e.g. 6..14 or 6,8,10")
+    run.add_argument("--methods", type=lambda text: tuple(text.split(",")),
+                     help=f"comma list from {','.join(METHODS)}")
+    run.add_argument("--trials", dest="num_trials", type=int, help="trials per cell")
+    run.add_argument("--flights", dest="flight_counts", type=_parse_flights,
+                     help="flight counts, e.g. 6..14 or 6,8,10")
     run.add_argument("--alpha", type=float, help="confidence level in (0,1)")
-    run.add_argument("--sigma", help="perturbation sigma, scalar or comma list")
-    run.add_argument("--seed", type=int, help="master seed")
-    run.add_argument("--airlines", type=int, help="number of airlines")
-    run.add_argument("--out", type=Path, help="CSV output path")
-    run.add_argument("--time-budget", type=float, help="per-solve budget, seconds")
+    run.add_argument("--sigma", type=_parse_sigma, help="perturbation sigma, scalar or comma list")
+    run.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    run.add_argument("--airlines", dest="num_airlines", type=int, help="number of airlines")
+    run.add_argument("--out", dest="out_path", help="CSV output path")
+    run.add_argument("--time-budget", dest="time_budget_per_solve", type=float,
+                     help="per-solve budget, seconds")
 
     check = sub.add_parser("check", help="chance-constrained CE feasibility check")
     check.add_argument("--game-file", type=Path, required=True)
     check.add_argument("--alpha", type=float, required=True)
-    check.add_argument("--sigma", required=True)
+    check.add_argument("--sigma", type=_parse_sigma, required=True)
     check.add_argument(
         "--dist-file", type=Path,
         help="JSON distribution ({'mass': [...]} or a bare list) to check; "
@@ -77,30 +81,17 @@ def _build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate-pne", help="list CC-PNE profiles of a game")
     enum.add_argument("--game-file", type=Path, required=True)
     enum.add_argument("--alpha", type=float, required=True)
-    enum.add_argument("--sigma", required=True)
+    enum.add_argument("--sigma", type=_parse_sigma, required=True)
     enum.add_argument("--limit", type=int, help="stop after this many profiles")
     return parser
 
 
 def _cmd_run(args) -> int:
-    doc = {} if args.config is None else json.loads(args.config.read_text())
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    doc = json.loads(args.config.read_text()) if "config" in args else {}
     if not isinstance(doc, dict):
         raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
-    overrides = {
-        "methods": tuple(args.methods.split(",")) if args.methods else None,
-        "num_trials": args.trials,
-        "flight_counts": _parse_flights(args.flights) if args.flights else None,
-        "alpha": args.alpha,
-        "sigma": _parse_sigma(args.sigma) if args.sigma else None,
-        "master_seed": args.seed,
-        "num_airlines": args.airlines,
-        "out_path": str(args.out) if args.out else None,
-        "time_budget_per_solve": args.time_budget,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            doc[key] = value
-    config = ExperimentConfig.from_dict(doc)
+    config = ExperimentConfig.from_dict({**doc, **flags})  # a flag beats the file
     result = run_experiment(config)
     print(format_summary(result.summaries, summarize_paired(result.records)))
     print(f"wrote {len(result.records)} rows to {result.csv_path}")
@@ -115,7 +106,7 @@ def _load_distribution(path: Path, action_counts) -> JointDistribution:
 
 def _cmd_check(args) -> int:
     game = load_game(args.game_file)
-    q = tightenings(_parse_sigma(args.sigma), args.alpha, game.num_agents)
+    q = tightenings(args.sigma, args.alpha, game.num_agents)
     if args.dist_file is not None:
         z = _load_distribution(args.dist_file, game.action_counts)
         feasible, worst = check_ccce_feasibility(game, z, q)
@@ -130,7 +121,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     game = load_game(args.game_file)
-    q = tightenings(_parse_sigma(args.sigma), args.alpha, game.num_agents)
+    q = tightenings(args.sigma, args.alpha, game.num_agents)
     flats = enumerate_cc_pne(game, q, limit=args.limit)
     for flat in flats:
         print(" ".join(str(c) for c in unflatten(int(flat), game.action_counts)))

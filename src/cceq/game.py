@@ -28,6 +28,7 @@ __all__ = [
     "MASS_TOL",
     "best_deviations",
     "check_joint_space",
+    "check_number",
     "flat_index",
     "game_from_dict",
     "game_to_dict",
@@ -371,18 +372,20 @@ def game_to_dict(game: FiniteGame) -> dict:
 def game_from_dict(doc: dict) -> FiniteGame:
     if not isinstance(doc, dict):
         raise ValueError(f"a game must be a JSON object, got {type(doc).__name__}")
-    counts = tuple(_integer("an action count", m) for m in doc["action_counts"])
-    if _integer("'agents'", doc["agents"]) != len(counts):
+    counts = tuple(check_number("an action count", m, numbers.Integral)
+                   for m in doc["action_counts"])
+    if check_number("'agents'", doc["agents"], numbers.Integral) != len(counts):
         raise ValueError("'agents' disagrees with the length of 'action_counts'")
     return FiniteGame(counts, np.asarray(doc["costs"], dtype=float))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` if it is an integer; ValueError for a bool, a float (2.0
-    included) or anything else."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def check_number(name: str, value, kind=numbers.Real):
+    """``value`` as an int or a float if it is a ``kind`` (numbers.Integral or
+    numbers.Real); ValueError for a bool, a string, a float for an integer (2.0 too)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return int(value) if kind is numbers.Integral else float(value)
 
 
 def save_game(game: FiniteGame, path) -> None:

@@ -43,6 +43,7 @@ from .game import (
     JointDistribution,
     best_deviations,
     check_joint_space,
+    check_number,
     flat_index,
     unflatten,
 )
@@ -92,9 +93,11 @@ _STREAM_ETA = 1
 _STREAM_RECOMMEND = 2
 _METHOD_IDS = {m: k for k, m in enumerate(METHODS)}
 
-# Scenario sections; the nested ones map to their keys.
-_SCENARIO_KEYS = {"runways": {"mu", "q0"}, "thresholds": {"congestion", "lateness"},
-                  "epoch_minutes": None, "weights": None, "lateness_scale": None}
+# scenario key -> generate_instance keyword; a nested section maps its own keys
+_SCENARIO = {"runways": {"mu": "service_rates", "q0": "initial_queues"},
+             "thresholds": {"congestion": "congestion_threshold", "lateness": "lateness_threshold"},
+             "epoch_minutes": "epoch_minutes", "weights": "class_weights",
+             "lateness_scale": "lateness_scale"}
 
 
 def _as_tuple(name: str, value) -> tuple:
@@ -104,11 +107,15 @@ def _as_tuple(name: str, value) -> tuple:
         raise ValueError(f"{name} must be a sequence, got {value!r}") from None
 
 
-def _check_type(name: str, value, kind) -> None:
-    """Raise ValueError unless ``value`` is a ``kind`` (Integral or Real), bools excluded."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a real number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
+def _keywords(table: dict, section, name: str) -> dict:
+    """The keyword arguments that ``table`` maps ``section``'s keys to."""
+    if not isinstance(section, dict) or set(section) - set(table):
+        raise ValueError(f"{name} keys must be a subset of {sorted(table)}, got {section!r}")
+    out = {}
+    for key, value in section.items():
+        nested = isinstance(table[key], dict)
+        out.update(_keywords(table[key], value, f"{name}.{key}") if nested else {table[key]: value})
+    return out
 
 
 @dataclass
@@ -131,15 +138,13 @@ class ExperimentConfig:
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be a nonempty subset of {METHODS}, got {self.methods}")
         for name in ("num_trials", "num_airlines", "master_seed"):
-            _check_type(name, getattr(self, name), numbers.Integral)
+            check_number(name, getattr(self, name), numbers.Integral)
         for name in ("alpha", "time_budget_per_solve"):
-            _check_type(name, getattr(self, name), numbers.Real)
-        flight_counts = _as_tuple("flight_counts", self.flight_counts)
-        for f in flight_counts:
-            _check_type("flight_counts entry", f, numbers.Integral)
+            check_number(name, getattr(self, name))
+        self.flight_counts = tuple(check_number("flight_counts entry", f, numbers.Integral)
+                                   for f in _as_tuple("flight_counts", self.flight_counts))
         for s in self.sigma if isinstance(self.sigma, (list, tuple)) else (self.sigma,):
-            _check_type("sigma", s, numbers.Real)
-        self.flight_counts = tuple(int(f) for f in flight_counts)
+            check_number("sigma", s)
         if self.num_trials < 1:
             raise ValueError("num_trials must be at least 1")
         if self.num_airlines < 1:
@@ -156,16 +161,10 @@ class ExperimentConfig:
             raise ValueError("time_budget_per_solve must be positive")
         if not isinstance(self.out_path, (str, os.PathLike)):
             raise ValueError(f"out_path must be a path, got {self.out_path!r}")
-        if not isinstance(self.scenario, dict) or set(self.scenario) - set(_SCENARIO_KEYS):
-            raise ValueError(f"scenario keys must be a subset of {sorted(_SCENARIO_KEYS)}")
-        for name, keys in _SCENARIO_KEYS.items():
-            section = self.scenario.get(name, {})
-            if keys and (not isinstance(section, dict) or set(section) - keys):
-                raise ValueError(f"scenario.{name} keys must be a subset of {sorted(keys)}")
         try:  # one probe instance, so that VQInstance checks every scenario value
             generate_instance(self.num_airlines, self.num_airlines, seed=0,
                               **self.scenario_kwargs())
-        except (KeyError, TypeError) as exc:
+        except TypeError as exc:
             raise ValueError(f"invalid scenario: {exc!r}") from exc
 
     @classmethod
@@ -187,24 +186,12 @@ class ExperimentConfig:
         return cls(**doc)
 
     def scenario_kwargs(self) -> dict:
-        """Translate the scenario section into generate_instance keyword args."""
-        out = {}
-        runways = self.scenario.get("runways")
-        if runways:
-            out["service_rates"] = tuple(runways["mu"])
-            out["initial_queues"] = tuple(runways["q0"])
-        if "epoch_minutes" in self.scenario:
-            out["epoch_minutes"] = float(self.scenario["epoch_minutes"])
-        thresholds = self.scenario.get("thresholds")
-        if thresholds:
-            if "congestion" in thresholds:
-                out["congestion_threshold"] = int(thresholds["congestion"])
-            if "lateness" in thresholds:
-                out["lateness_threshold"] = float(thresholds["lateness"])
-        if "weights" in self.scenario:
-            out["class_weights"] = self.scenario["weights"]
-        if "lateness_scale" in self.scenario:
-            out["lateness_scale"] = float(self.scenario["lateness_scale"])
+        """The scenario section as generate_instance keyword arguments, its
+        values as given; ValueError for a key outside the schema, or for
+        runways without both mu and q0."""
+        out = _keywords(_SCENARIO, self.scenario, "scenario")
+        if ("service_rates" in out) != ("initial_queues" in out):
+            raise ValueError("scenario.runways needs both mu and q0")
         return out
 
 

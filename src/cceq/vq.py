@@ -20,13 +20,15 @@ flights still share the congestion penalty.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
-from .game import FiniteGame, check_joint_space
+from .game import FiniteGame, check_joint_space, check_number
 
 __all__ = [
     "AircraftClass",
@@ -85,14 +87,22 @@ class VQInstance:
     class_weights: dict | None = None
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.service_rates)
-        queues = tuple(int(q) for q in self.initial_queues)
-        if not rates or any(r <= 0 for r in rates):
-            raise ValueError("service rates must be positive, one per runway")
+        rates = tuple(check_number("a service rate", r) for r in self.service_rates)
+        queues = tuple(check_number("an initial queue", q, Integral) for q in self.initial_queues)
+        if not rates or not all(0 < r < math.inf for r in rates):
+            raise ValueError("service rates must be finite and positive, one per runway")
         if len(queues) != len(rates) or any(q < 0 for q in queues):
             raise ValueError("initial queues must be nonnegative, one per runway")
         object.__setattr__(self, "service_rates", rates)
         object.__setattr__(self, "initial_queues", queues)
+        for name, kind, valid, rule in (
+                ("epoch_minutes", Real, lambda x: 0 < x < math.inf, "finite and positive"),
+                ("congestion_threshold", Integral, lambda x: x >= 0, "nonnegative"),
+                ("lateness_threshold", Real, math.isfinite, "finite")):
+            value = check_number(name, getattr(self, name), kind)
+            if not valid(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+            object.__setattr__(self, name, value)
 
         flights = tuple(sorted(self.flights, key=lambda f: f.id))  # the cost folds' order
         ids = [f.id for f in flights]
@@ -114,9 +124,10 @@ class VQInstance:
         object.__setattr__(self, "airlines", airlines)
 
         weights = dict(DEFAULT_CLASS_WEIGHTS if self.class_weights is None else self.class_weights)
-        weights = {AircraftClass(k): float(v) for k, v in weights.items()}
-        if set(weights) != set(AircraftClass) or any(w < 0 for w in weights.values()):
-            raise ValueError("class_weights needs one nonnegative weight per aircraft class")
+        weights = {AircraftClass(k): check_number("a class weight", v) for k, v in weights.items()}
+        if set(weights) != set(AircraftClass) or not all(
+                0 <= w < math.inf for w in weights.values()):
+            raise ValueError("class_weights needs one finite nonnegative weight per aircraft class")
         object.__setattr__(self, "class_weights", weights)
 
     @property
@@ -180,6 +191,8 @@ def generate_instance(
     """
     if num_airlines < 1 or num_flights < num_airlines:
         raise ValueError("need num_flights >= num_airlines >= 1")
+    if not 0 <= check_number("lateness_scale", lateness_scale) < math.inf:
+        raise ValueError(f"lateness_scale must be finite and nonnegative, got {lateness_scale!r}")
     rng = np.random.default_rng(seed)
     num_runways = len(service_rates)
     flights = []

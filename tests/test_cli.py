@@ -72,6 +72,14 @@ def test_run_bad_flags_exit_2_before_writing(tmp_path, bad):
 @pytest.mark.parametrize("scenario", [
     {"thresholds": {"congestoin": 99}},
     {"runways": {"mu": [2, 2, 3]}},
+    {"thresholds": {"congestion": 2.7}},
+    {"thresholds": {"congestion": True}},
+    {"epoch_minutes": "4"},
+    {"epoch_minutes": -4},
+    {"runways": {"mu": ["2", 2], "q0": [2.7, 0]}},
+    {"epoch_minutes": 1e309},
+    {"lateness_scale": 1e309},
+    {"weights": {"heavy": 1e309, "medium": 1.0, "small": 0.75}},
 ])
 def test_run_bad_scenario_exits_2_before_writing(tmp_path, scenario):
     out = tmp_path / "results.csv"
@@ -152,6 +160,31 @@ def test_run_out_flag_beats_config_out(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg), "--out", "from-flag.csv"]) == 0
     assert (tmp_path / "from-flag.csv").exists()
     assert not (tmp_path / "from-file.csv").exists()
+
+
+def test_run_flags_beat_the_aliases_in_one_document(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"methods": ["fcfs"], "num_trials": 1, "flight_counts": [6],
+                               "out": "from-file.csv", "uncertainty": {"sigma": 2.0}}))
+    assert main(["run", "--config", str(cfg), "--out", "from-flag.csv", "--sigma", "0.5"]) == 0
+    assert not (tmp_path / "from-file.csv").exists()
+    rows = list(csv.DictReader((tmp_path / "from-flag.csv").read_text().splitlines()))
+    assert [row["sigma"] for row in rows] == ["0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--sigma", "1,x"],
+    ["run", "--flights", "6..x"],
+    ["check", "--game-file", "g.json", "--alpha", "0.9", "--sigma", "x"],
+    ["enumerate-pne", "--game-file", "g.json", "--alpha", "0.9", "--sigma", "1,,x"],
+])
+def test_unparsable_flags_exit_2_from_argparse(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_missing_config_exits_1(tmp_path):

@@ -650,12 +650,11 @@ def test_config_scenario_kwargs():
         "thresholds": {"congestion": 5, "lateness": 12.0},
         "epoch_minutes": 5.0,
     })
-    kwargs = config.scenario_kwargs()
-    assert kwargs["service_rates"] == (2.0, 3.0)
-    assert kwargs["initial_queues"] == (1, 0)
-    assert kwargs["congestion_threshold"] == 5
-    assert kwargs["lateness_threshold"] == 12.0
-    assert kwargs["epoch_minutes"] == 5.0
+    # the values pass through as given: VQInstance checks and converts them
+    assert config.scenario_kwargs() == {
+        "service_rates": [2.0, 3.0], "initial_queues": [1, 0],
+        "congestion_threshold": 5, "lateness_threshold": 12.0, "epoch_minutes": 5.0,
+    }
 
 
 def test_summarize_counts_infeasible():

@@ -291,3 +291,34 @@ def test_instance_validation():
                    (Flight(0, 0, AircraftClass.SMALL, 1.0), Flight(1, 0, AircraftClass.SMALL, 1.0)),
                    ((0,), ()))
 
+
+
+@pytest.mark.parametrize("scenario", [
+    dict(service_rates=("2", 2)),
+    dict(service_rates=(2.0, float("inf"))),
+    dict(initial_queues=(2.7, 0)),
+    dict(initial_queues=(True, 0)),
+    dict(epoch_minutes="4"),
+    dict(epoch_minutes=-4),
+    dict(epoch_minutes=float("inf")),
+    dict(congestion_threshold=2.7),
+    dict(congestion_threshold=True),
+    dict(congestion_threshold=-1),
+    dict(lateness_threshold=float("nan")),
+    dict(class_weights={"heavy": float("inf"), "medium": 1.0, "small": 0.75}),
+    dict(class_weights={"heavy": "1", "medium": 1.0, "small": 0.75}),
+    dict(lateness_scale=float("inf")),
+    dict(lateness_scale=-1.0),
+])
+def test_scenario_values_are_checked_not_coerced(scenario):
+    with pytest.raises(ValueError):
+        generate_instance(6, 3, seed=0, **scenario)
+
+
+def test_scenario_values_are_stored_normalized():
+    inst = generate_instance(6, 3, seed=0, service_rates=[2, 3], initial_queues=[1, 0],
+                             epoch_minutes=4, lateness_threshold=10)
+    assert inst.service_rates == (2.0, 3.0) and inst.initial_queues == (1, 0)
+    assert isinstance(inst.epoch_minutes, float) and isinstance(inst.lateness_threshold, float)
+    assert inst == generate_instance(6, 3, seed=0, service_rates=(2.0, 3.0),
+                                     initial_queues=(1, 0))
