@@ -153,16 +153,7 @@ def test_non_integer_game_counts_exit_2(tmp_path, capsys, command, agents, count
 
 
 def test_run_out_flag_beats_config_out(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"methods": ["fcfs"], "num_trials": 1, "flight_counts": [6],
-                               "out": "from-file.csv"}))
-    assert main(["run", "--config", str(cfg), "--out", "from-flag.csv"]) == 0
-    assert (tmp_path / "from-flag.csv").exists()
-    assert not (tmp_path / "from-file.csv").exists()
-
-
-def test_run_flags_beat_the_aliases_in_one_document(tmp_path, monkeypatch):
+    # --out and --sigma beat their aliases, out and uncertainty.sigma, in one document
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"methods": ["fcfs"], "num_trials": 1, "flight_counts": [6],
