@@ -17,7 +17,7 @@ from .game import (
     unflatten,
 )
 from .uncertainty import substream, tightenings
-from .lp import LinearProgram, LpSolution, LpStatus, SolverFailureError, solve
+from .lp import LinearProgram, LpSolution, SolverFailureError, solve
 from .equilibrium import (
     EquilibriumResult,
     assemble_ce_constraints,

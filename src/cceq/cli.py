@@ -26,7 +26,6 @@ from .equilibrium import (
 )
 from .game import JointDistribution, load_game, unflatten
 from .harness import METHODS, ExperimentConfig, format_summary, run_experiment, summarize_paired
-from .lp import LpStatus
 from .uncertainty import tightenings
 
 __all__ = ["main"]
@@ -114,8 +113,7 @@ def _cmd_check(args) -> int:
         print(f"worst margin: {worst:.10g}")
     else:
         result = solve_full_ccce(game, q, np.zeros(game.num_joint))
-        feasible = result.status == LpStatus.OPTIMAL
-        print(f"ccce polytope nonempty: {'true' if feasible else 'false'}")
+        print(f"ccce polytope nonempty: {'false' if result.distribution is None else 'true'}")
     return 0
 
 

@@ -40,7 +40,7 @@ from .game import (
     check_joint_space,
     unflatten,
 )
-from .lp import LinearProgram, LpStatus, SolverFailureError
+from .lp import LinearProgram, SolverFailureError
 
 __all__ = [
     "EquilibriumResult",
@@ -71,9 +71,8 @@ _CGROUP_V1_NO_LIMIT = 9223372036854771712
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Outcome of a CE / CC-CE selection solve."""
+    """Outcome of a CE / CC-CE selection solve; both fields None if infeasible."""
 
-    status: LpStatus
     distribution: JointDistribution | None = None
     objective: float | None = None
 
@@ -279,8 +278,8 @@ def solve_full_ccce(game: FiniteGame, q, sys_cost,
     fails it raises :class:`SolverFailureError`, as do other LP solver
     failures. A joint space above :data:`cceq.game.JOINT_SPACE_CAP` raises
     :class:`BudgetExceededError`, and a program not expected to fit in
-    memory raises MemoryError, both before it is assembled. Infeasibility
-    of the tightened polytope is reported through the result status.
+    memory raises MemoryError, both before it is assembled. An empty
+    tightened polytope returns a result whose distribution is None.
     ``deadline``, a ``time.perf_counter()`` value, bounds the solve: it is
     checked once the program is assembled, the time left becomes the
     solver's time limit, and passing it raises ``TimeoutError``.
@@ -288,8 +287,8 @@ def solve_full_ccce(game: FiniteGame, q, sys_cost,
     q = _tightenings(game, q)
     check_joint_space(game.action_counts)
     solution = lpmod.solve(ccce_program(game, q, sys_cost), deadline=deadline)
-    if solution.status == LpStatus.INFEASIBLE:
-        return EquilibriumResult(LpStatus.INFEASIBLE)
+    if solution.values is None:
+        return EquilibriumResult()
     # within the solver's feasibility tolerance a vertex can carry "ghost"
     # masses on joint actions whose incentive constraints fail; kept, their
     # tiny marginals would blow the normalized margins up
@@ -302,7 +301,7 @@ def solve_full_ccce(game: FiniteGame, q, sys_cost,
         raise SolverFailureError(
             f"selection LP result fails the CC-CE check: worst margin {worst:.6g}"
         )
-    return EquilibriumResult(LpStatus.OPTIMAL, dist, float(solution.objective_value))
+    return EquilibriumResult(dist, float(solution.objective_value))
 
 
 def check_ccce_feasibility(game: FiniteGame, z: JointDistribution, q) -> tuple[bool, float]:
@@ -362,14 +361,14 @@ def solve_reduced_rank(game: FiniteGame, flats: np.ndarray, sys_cost) -> Equilib
 
     The result has :func:`solve_full_ccce`'s form. Closed form: the point
     mass on the cheapest profile, ties broken toward the lowest index, and
-    its cost; no profile at all yields an infeasible result.
+    its cost; no profile at all yields a result without a distribution.
     """
     if len(flats) == 0:
-        return EquilibriumResult(LpStatus.INFEASIBLE)
+        return EquilibriumResult()
     values = np.asarray(sys_cost[flats], dtype=float)
     best = int(np.argmin(values))  # first minimum: lowest-index tie rule
     point = JointDistribution(flats[best:best + 1], [1.0], game.action_counts)
-    return EquilibriumResult(LpStatus.OPTIMAL, point, float(values[best]))
+    return EquilibriumResult(point, float(values[best]))
 
 
 def sample_recommendation(z: JointDistribution, rng: np.random.Generator) -> tuple[int, ...]:

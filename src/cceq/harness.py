@@ -31,7 +31,6 @@ import numpy as np
 
 from .equilibrium import (
     FEASIBILITY_TOL,
-    EquilibriumResult,
     enumerate_cc_pne,
     sample_recommendation,
     solve_full_ccce,
@@ -47,7 +46,7 @@ from .game import (
     flat_index,
     unflatten,
 )
-from .lp import LpStatus, SolverFailureError, load_highs
+from .lp import SolverFailureError, load_highs
 from .uncertainty import substream, tightenings
 from .vq import SystemCost, VQInstance, build_game, fcfs_profile, generate_instance
 
@@ -313,6 +312,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     :func:`lower_trial` for this trial (computed here when not given): solve
     for the method's recommendation distribution, sample a recommendation,
     simulate the airlines' deviations and price the executed joint action.
+    A row reads ``infeasible`` exactly when the solve yields no distribution.
 
     Only the solve is timed and held to the per-solve budget. A refusal
     before it (``build_game`` refused the instance, or full-ccce's joint
@@ -345,19 +345,18 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
     start = time.perf_counter()
     try:
         if method == METHOD_FCFS:
-            point = JointDistribution.point_mass(fcfs_profile(instance), game.action_counts)
-            result = EquilibriumResult(LpStatus.OPTIMAL, point)
+            z = JointDistribution.point_mass(fcfs_profile(instance), game.action_counts)
         elif method == METHOD_FULL_CCCE:
-            result = solve_full_ccce(game, q, objective,
-                                     deadline=start + config.time_budget_per_solve)
+            z = solve_full_ccce(game, q, objective,
+                                deadline=start + config.time_budget_per_solve).distribution
         elif method in (METHOD_RR_NOMINAL, METHOD_RR_CCCE):
             pne = enumerate_cc_pne(game, q if method == METHOD_RR_CCCE
                                    else np.zeros(game.num_agents))
-            result = solve_reduced_rank(game, pne, sys_cost)
+            z = solve_reduced_rank(game, pne, sys_cost).distribution
             rr_size_d = len(pne)
         else:
             raise ValueError(f"unknown method {method!r}")
-        status = STATUS_OK if result.status == LpStatus.OPTIMAL else STATUS_INFEASIBLE
+        status = STATUS_INFEASIBLE if z is None else STATUS_OK
     except TimeoutError:
         status = STATUS_TIMEOUT
     except (SolverFailureError, BudgetExceededError, MemoryError):
@@ -368,7 +367,6 @@ def run_trial(config: ExperimentConfig, trial_index: int, method: str,
 
     delay_cost = deviated = recommendation = final_action = None
     if status == STATUS_OK:
-        z = result.distribution
         if z.support.size == 1:  # a point mass needs no draw: its stream is left unread
             recommendation = unflatten(int(z.support[0]), game.action_counts)
         else:

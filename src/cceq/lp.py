@@ -41,14 +41,12 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "LinearProgram",
     "LpSolution",
-    "LpStatus",
     "SolverFailureError",
     "load_highs",
     "release_solver",
@@ -59,11 +57,6 @@ __all__ = [
 class SolverFailureError(RuntimeError):
     """The solver stopped without an optimal or infeasible verdict: a limit,
     a numerical failure or an unbounded program."""
-
-
-class LpStatus(str, Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +112,6 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    status: LpStatus
     values: np.ndarray | None = None
     objective_value: float | None = None
 
@@ -179,9 +171,10 @@ def release_solver() -> None:
 def solve(lp: LinearProgram, deadline: float | None = None) -> LpSolution:
     """Solve a linear program on this thread's HiGHS instance.
 
-    Optimality and infeasibility are reported through the solution status,
-    never raised. Any other stop without one of them, unboundedness
-    included, raises :class:`SolverFailureError`.
+    An optimal program returns its values and objective; one proved
+    infeasible returns an :class:`LpSolution` without values, never an
+    exception. Any other stop, unboundedness included, raises
+    :class:`SolverFailureError`.
     ``deadline``, a ``time.perf_counter()`` value, bounds the call: the time
     left when the model is loaded becomes the solver's time limit, and
     passing it raises ``TimeoutError``. The model is cleared however the
@@ -211,9 +204,9 @@ def solve(lp: LinearProgram, deadline: float | None = None) -> LpSolution:
         states = core.HighsModelStatus
         if model_status == states.kOptimal:
             values = np.array(highs.getSolution().col_value, dtype=float)
-            return LpSolution(LpStatus.OPTIMAL, values, float(lp.objective @ values))
+            return LpSolution(values, float(lp.objective @ values))
         if model_status == states.kInfeasible:
-            return LpSolution(LpStatus.INFEASIBLE)
+            return LpSolution()
         if model_status == states.kTimeLimit:
             raise TimeoutError("HiGHS reached its time limit")
         reason = highs.modelStatusToString(model_status)

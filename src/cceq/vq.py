@@ -104,18 +104,30 @@ class VQInstance:
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
             object.__setattr__(self, name, value)
 
-        flights = tuple(sorted(self.flights, key=lambda f: f.id))  # the cost folds' order
+        # ascending id is the cost folds' order
+        flights = tuple(sorted(self.flights,
+                               key=lambda f: check_number("a flight id", f.id, Integral)))
         ids = [f.id for f in flights]
         if len(set(ids)) != len(ids):
             raise ValueError("flight ids must be unique")
         for f in flights:
-            if not 0 <= f.runway < len(rates):
+            if not 0 <= check_number("a runway", f.runway, Integral) < len(rates):
                 raise ValueError(f"flight {f.id} assigned to unknown runway {f.runway}")
-            if f.lateness < 0:
-                raise ValueError(f"flight {f.id} has negative lateness")
+            lateness = check_number("a lateness", f.lateness)
+            if not 0 <= lateness < math.inf:
+                raise ValueError(f"flight {f.id} needs a finite nonnegative lateness, "
+                                 f"got {lateness!r}")
+            try:  # if either term is squared, the held one is the larger: it overflows first
+                held = _lateness_term(self, lateness + self.epoch_minutes)
+            except OverflowError:
+                held = math.inf
+            if held == math.inf:
+                raise ValueError(f"flight {f.id}'s lateness term overflows a float: lateness "
+                                 f"{lateness!r}, held {self.epoch_minutes!r} minutes")
         object.__setattr__(self, "flights", flights)
 
-        airlines = tuple(tuple(sorted(int(i) for i in owned)) for owned in self.airlines)
+        airlines = tuple(tuple(sorted(check_number("an airline's flight id", i, Integral)
+                                      for i in owned)) for owned in self.airlines)
         owned_ids = [fid for owned in airlines for fid in owned]
         if any(not owned for owned in airlines):
             raise ValueError("every airline must own at least one flight")

@@ -37,7 +37,7 @@ from cceq.game import (
     flat_index,
     unflatten,
 )
-from cceq.lp import LinearProgram, LpStatus
+from cceq.lp import LinearProgram
 
 
 def profiles(flats, action_counts) -> tuple[tuple[int, ...], ...]:
@@ -228,18 +228,18 @@ def solve_reduced_rank_lp(game: FiniteGame, flats, sys_cost) -> EquilibriumResul
     simplex of weights on the profiles at ``flats``, and the distribution
     those weights induce; must agree on the objective."""
     if len(flats) == 0:
-        return EquilibriumResult(LpStatus.INFEASIBLE)
+        return EquilibriumResult()
     sys_cost = np.asarray(sys_cost, dtype=float)
     values = sys_cost[flats]
     program = lp_from_rows(objective=values, eq=[(np.ones(len(flats)), 1.0)])
     solution = lpmod.solve(program)
-    assert solution.status == LpStatus.OPTIMAL, "the weight simplex is never empty"
+    assert solution.values is not None, "the weight simplex is never empty"
     weights = np.maximum(solution.values, 0.0)
     weights /= weights.sum()
     mass = np.zeros(game.num_joint)
     mass[flats] = weights
     induced = JointDistribution.from_mass(mass, game.action_counts)
-    return EquilibriumResult(LpStatus.OPTIMAL, induced, float(solution.objective_value))
+    return EquilibriumResult(induced, float(solution.objective_value))
 
 
 def lp_from_rows(objective, ineq=(), eq=()) -> LinearProgram:

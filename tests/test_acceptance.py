@@ -27,7 +27,6 @@ from cceq.harness import (
     run_experiment,
     run_trial,
 )
-from cceq.lp import LpStatus
 from cceq.uncertainty import tightenings
 from conftest import INTERSECTION_COSTS
 from oracles import eq_feasible, grid_distributions, profiles, random_game
@@ -105,7 +104,7 @@ def test_criterion_03_restriction_bound():
         if len(pne) == 0:
             continue
         full = solve_full_ccce(game, q, sys_cost)
-        if full.status != LpStatus.OPTIMAL:
+        if full.distribution is None:
             continue
         rr = solve_reduced_rank(game, pne, sys_cost)
         assert rr.objective >= full.objective - 1e-6, \
@@ -122,7 +121,7 @@ def test_criterion_04_nominal_reduction_equivalence():
         n = game.num_agents
         sys_cost = game.costs.sum(axis=0)
         nominal = solve_full_ccce(game, np.zeros(n), sys_cost)
-        assert nominal.status == LpStatus.OPTIMAL
+        assert nominal.distribution is not None
         alpha = float(rng.uniform(0.05, 0.95))
         zero_sigma = solve_full_ccce(game, tightenings(0.0, alpha, n), sys_cost)
         assert abs(zero_sigma.objective - nominal.objective) <= 1e-7

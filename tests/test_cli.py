@@ -80,6 +80,8 @@ def test_run_bad_flags_exit_2_before_writing(tmp_path, bad):
     {"epoch_minutes": 1e309},
     {"lateness_scale": 1e309},
     {"weights": {"heavy": 1e309, "medium": 1.0, "small": 0.75}},
+    {"lateness_scale": 1e200},  # finite, but a lateness term overflows
+    {"epoch_minutes": 1e200},
 ])
 def test_run_bad_scenario_exits_2_before_writing(tmp_path, scenario):
     out = tmp_path / "results.csv"

@@ -32,7 +32,7 @@ from cceq.harness import (
     summarize,
     summarize_paired,
 )
-from cceq.lp import LpStatus, SolverFailureError
+from cceq.lp import SolverFailureError
 from cceq.uncertainty import substream
 from cceq.vq import SystemCost, build_game, generate_instance
 from oracles import dense_incentive_gains, loop_incentive_gains, random_game
@@ -177,7 +177,7 @@ def test_simulate_deviation_on_airport_games():
             result = solve_full_ccce(game, lowered.q, np.asarray(lowered.sys_cost))
             points = [JointDistribution([flat], [1.0], game.action_counts)
                       for flat in rng.integers(game.num_joint, size=5).tolist()]
-            if result.status == LpStatus.OPTIMAL:
+            if result.distribution is not None:
                 points.append(result.distribution)
                 mixed += result.distribution.support.size > 1
             for z in points:
@@ -318,17 +318,17 @@ def test_load_highs_loads_only_the_extension_module():
         "       if m in sys.modules] == [])\n"
         "sol = solve(LinearProgram([1.0, 2.0], [0, 1, 2], [0, 0], [-1.0, -1.0],\n"
         "                          [-float('inf')], [-1.0]))\n"
-        "print(sol.status.value, sol.objective_value)\n"
+        "print(sol.values is not None, sol.objective_value)\n"
         "from scipy.optimize import linprog\n"
         "from scipy.optimize._highspy import _core\n"
         "ref = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method='highs')\n"
         "print(ref.status, ref.fun)\n"
         "print(_core is core, sys.modules['scipy.optimize._highspy._core'] is core)\n"
     )
-    seconds, lean, status, objective, ref_status, ref_objective, *same = out.split()
+    seconds, lean, solved, objective, ref_status, ref_objective, *same = out.split()
     assert float(seconds) < 0.25  # importing scipy.optimize takes about 0.7 s
     assert lean == "True"
-    assert status == "optimal" and float(objective) == 1.0
+    assert solved == "True" and float(objective) == 1.0
     assert ref_status == "0" and float(ref_objective) == float(objective)
     assert same == ["True", "True"]
 
@@ -429,7 +429,7 @@ def test_memory_guard_releases_the_solver_before_refusing(monkeypatch):
     q = np.zeros(game.num_agents)
     held = lpmod._thread_solver()
     result = solve_full_ccce(game, q, sys_cost)
-    assert result.status == "optimal"
+    assert result.distribution is not None
     assert lpmod._thread_solver() is not held  # released, then created anew
     # without a solver to release, the guard refuses
     monkeypatch.setattr(eqmod, "_available_memory_bytes", lambda: 1024.0)

@@ -13,7 +13,6 @@ import cceq.lp as lpmod
 from cceq.equilibrium import ccce_program
 from cceq.lp import (
     LinearProgram,
-    LpStatus,
     SolverFailureError,
     load_highs,
     release_solver,
@@ -55,7 +54,7 @@ def replay(lp: LinearProgram, values: np.ndarray):
 def test_equality_forces_objective():
     lp = lp_from_rows([1.0, 1.0], eq=[([1.0, 1.0], 1.0)])
     sol = solve(lp)
-    assert sol.status == LpStatus.OPTIMAL
+    assert sol.values is not None
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
     replay(lp, sol.values)
 
@@ -63,14 +62,15 @@ def test_equality_forces_objective():
 def test_single_active_bound():
     lp = lp_from_rows([-1.0], ineq=[([1.0], 3.0)])
     sol = solve(lp)
-    assert sol.status == LpStatus.OPTIMAL
+    assert sol.values is not None
     assert sol.values[0] == pytest.approx(3.0, abs=1e-9)
     assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_infeasible_status():
     lp = lp_from_rows([1.0], ineq=[([1.0], -1.0)])  # v <= -1 with v >= 0
-    assert solve(lp).status == LpStatus.INFEASIBLE
+    sol = solve(lp)
+    assert sol.values is None and sol.objective_value is None
 
 
 def test_unbounded_status():
@@ -87,7 +87,7 @@ def test_geq_constraints_via_negation():
     )
     sol = solve(lp)
     ref = scipy_solve(lp)
-    assert sol.status == LpStatus.OPTIMAL
+    assert sol.values is not None
     assert sol.objective_value == pytest.approx(ref.fun, rel=1e-9)
     replay(lp, sol.values)
 
@@ -100,7 +100,7 @@ def test_intersection_game_ce_polytope_against_vertex_oracle(intersection_game, 
     oracle_opt = min(float(over_z.objective @ v) for v in vertices)
     assert oracle_opt == pytest.approx(0.0, abs=1e-9)
     sol = solve(program)
-    assert sol.status == LpStatus.OPTIMAL
+    assert sol.values is not None
     assert sol.objective_value == pytest.approx(oracle_opt, abs=1e-7)
     # optimal mass concentrates on (G,S) and (S,G)
     assert sol.values[0] + sol.values[3] <= 1e-7
@@ -113,14 +113,14 @@ def test_random_known_optimum_lps():
         m = int(rng.integers(1, 13))
         lp, optimum = lp_with_known_optimum(rng, n, m)
         sol = solve(lp)
-        assert sol.status == LpStatus.OPTIMAL
+        assert sol.values is not None
         assert sol.objective_value == pytest.approx(optimum, rel=1e-6, abs=1e-6)
         replay(lp, sol.values)
 
 
 def test_agreement_with_scipy_on_random_lps():
     rng = np.random.default_rng(17)
-    statuses = set()
+    infeasible = set()
     for _ in range(60):
         n = int(rng.integers(2, 7))
         m_ub = int(rng.integers(0, 7))
@@ -139,14 +139,14 @@ def test_agreement_with_scipy_on_random_lps():
             sol = solve(lp)
         except SolverFailureError:
             pytest.fail("solver failure on a small random LP")
-        statuses.add(sol.status)
+        infeasible.add(sol.values is None)
         if ref.status == 0:
-            assert sol.status == LpStatus.OPTIMAL
+            assert sol.values is not None
             assert sol.objective_value == pytest.approx(ref.fun, rel=1e-6, abs=1e-6)
             replay(lp, sol.values)
         elif ref.status == 2:
-            assert sol.status == LpStatus.INFEASIBLE
-    assert LpStatus.OPTIMAL in statuses and LpStatus.INFEASIBLE in statuses
+            assert sol.values is None
+    assert infeasible == {False, True}
 
 
 def test_beale_degenerate_example_terminates():
@@ -161,7 +161,7 @@ def test_beale_degenerate_example_terminates():
     )
     sol = solve(lp)
     ref = scipy_solve(lp)
-    assert sol.status == LpStatus.OPTIMAL
+    assert sol.values is not None
     assert sol.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
 
 
@@ -178,7 +178,7 @@ def test_iteration_cap_raises():
             solve(lp)
     finally:
         release_solver()
-    assert solve(lp).status == LpStatus.OPTIMAL
+    assert solve(lp).values is not None
 
 
 def selection_programs():
@@ -314,7 +314,7 @@ def test_vq_selection_programs_match_scipy():
         program = ccce_program(game, tightenings(sigma, 0.9, 5), sys_cost)
         sol = solve(program)
         ref = scipy_solve(program)
-        assert sol.status == LpStatus.OPTIMAL and ref.status == 0
+        assert sol.values is not None and ref.status == 0
         assert sol.objective_value == pytest.approx(ref.fun, rel=1e-6)
         replay(program, sol.values)
 

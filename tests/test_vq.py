@@ -244,6 +244,26 @@ def test_build_game_equals_the_grid_lowering_bit_for_bit(scenario):
                 assert sys_cost[flats].tobytes() == want_sys[flats].tobytes()  # now read densely
 
 
+def test_lateness_term_squares_with_pow_bit_for_bit():
+    # CPython's x ** 2 can differ from x * x in the last bit; recorded costs
+    # square with **, so squaring by multiplication or in numpy moves them
+    def released(x, square):
+        return (square(x) + 2.0) + 0.0  # + (0 + 1) / 2 * 4 queue delay, + no congestion
+
+    draws = np.random.default_rng(0).uniform(10.0, 1000.0, size=100_000).tolist()
+    x = next((x for x in draws if released(x, lambda v: v ** 2) != released(x, lambda v: v * v)),
+             None)
+    if x is None:
+        pytest.skip("x ** 2 and x * x agree on every draw on this platform")
+    inst = VQInstance((2.0,), (0,), (Flight(0, 0, AircraftClass.MEDIUM, x),), ((0,),),
+                      epoch_minutes=4.0, congestion_threshold=1, lateness_threshold=10.0)
+    game, sys_cost = build_game(inst)
+    held = ((x + 4.0) ** 2 + 4.0) + 0.0
+    want = released(x, lambda v: v ** 2)
+    assert game.costs[0].tolist() == [held, want]
+    assert sys_cost[1] == want and np.asarray(sys_cost).tolist() == [held, want]
+
+
 def test_system_cost_rejects_out_of_range_indices():
     game, sys_cost = build_game(crafted_instance())
     for materialized in (False, True):
@@ -290,6 +310,13 @@ def test_instance_validation():
         VQInstance((2.0,), (3,),
                    (Flight(0, 0, AircraftClass.SMALL, 1.0), Flight(1, 0, AircraftClass.SMALL, 1.0)),
                    ((0,), ()))
+    three = tuple(Flight(i, 0, AircraftClass.SMALL, 1.0) for i in range(3))
+    with pytest.raises(ValueError, match="integer"):  # not stored as ((0, 1), (2,))
+        VQInstance((2.0,), (3,), three, ((0, 1.7), (2,)))
+    with pytest.raises(ValueError, match="integer"):  # not lowered as runway 0
+        VQInstance((2.0, 2.0), (3, 4), (Flight(0, 0.5, AircraftClass.SMALL, 1.0),), ((0,),))
+    with pytest.raises(ValueError, match="finite"):  # not left for FiniteGame to refuse
+        VQInstance((2.0,), (3,), (Flight(0, 0, AircraftClass.SMALL, float("nan")),), ((0,),))
 
 
 
